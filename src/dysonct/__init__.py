@@ -13,9 +13,9 @@ The package is organised bottom-up:
 
 from .qpoly import IntPoly, QRat, qbinom, qmultinom, qpoch
 from .mpoly import (
-    MPoly, VarTable, bg_alternating_kernel, bg_kernel, dyson_kernel,
-    poch_factor, table_kernel, table_tau, table_x, tau_kernel, tkernel,
-    tournament_kernel, tzero_kernel,
+    Kernel, MPoly, VarTable, bg_alternating_kernel, bg_kernel, dyson_kernel,
+    kernel_factors, poch_factor, table_kernel, table_tau, table_x, tau_kernel,
+    tkernel, tournament_kernel, tzero_kernel,
 )
 from .combi import (
     Permutation, Tournament, ZeroOneMatrix, comp_stats, conjugate,

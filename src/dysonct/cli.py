@@ -450,41 +450,60 @@ def _execute(task):
             "millis": report.millis, "status": "ok"}
 
 
-def _timeout_record(identity, params):
-    return {"identity": identity, "params": params, "lhs": "", "rhs": "",
-            "equal": None, "millis": None, "status": "timeout"}
+def _unfinished_record(task, status):
+    identity, params_json = task
+    return {"identity": identity, "params": json.loads(params_json),
+            "lhs": "", "rhs": "", "equal": None, "millis": None,
+            "status": status}
 
 
-def _budget_worker(task, queue):
-    queue.put(_execute(task))
+def _budget_worker(task, conn):
+    conn.send(_execute(task))
+    conn.close()
 
 
 def _run_with_budget(tasks, jobs, budget_ms):
+    """Run each task in its own process, at most ``jobs`` at a time.
+
+    A case is timed out when its result has not arrived ``budget_ms``
+    after its own worker started.  Results are read as soon as they
+    arrive, before the worker is joined, so a report larger than the pipe
+    buffer cannot stall its worker.
+    """
+    from multiprocessing.connection import wait
+
     ctx = multiprocessing.get_context()
     results = [None] * len(tasks)
-    idx = 0
-    while idx < len(tasks):
-        wave = tasks[idx:idx + jobs]
-        procs = []
-        for off, task in enumerate(wave):
-            queue = ctx.SimpleQueue()
-            proc = ctx.Process(target=_budget_worker, args=(task, queue))
+    started = 0
+    running = {}  # task index -> (process, reader, deadline)
+    while started < len(tasks) or running:
+        while started < len(tasks) and len(running) < jobs:
+            i = started
+            started += 1
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_budget_worker, args=(tasks[i], writer))
             proc.start()
-            procs.append((proc, queue, idx + off))
-        for proc, queue, i in procs:
-            proc.join(budget_ms / 1000.0)
-            identity, params_json = tasks[i]
-            if proc.is_alive():
+            writer.close()
+            running[i] = (proc, reader, time.monotonic() + budget_ms / 1000.0)
+        timeout = max(0.0, min(d for _, _, d in running.values())
+                      - time.monotonic())
+        ready = set(wait([obj for proc, reader, _ in running.values()
+                          for obj in (reader, proc.sentinel)], timeout))
+        now = time.monotonic()
+        for i, (proc, reader, deadline) in list(running.items()):
+            if reader in ready or proc.sentinel in ready:
+                try:
+                    results[i] = reader.recv()
+                except EOFError:  # the worker died without a result
+                    results[i] = _unfinished_record(tasks[i], "error")
+            elif now >= deadline:
                 proc.terminate()
-                proc.join()
-                results[i] = _timeout_record(identity, json.loads(params_json))
-            elif queue.empty():
-                record = _timeout_record(identity, json.loads(params_json))
-                record["status"] = "error"
-                results[i] = record
+                results[i] = _unfinished_record(tasks[i], "timeout")
             else:
-                results[i] = queue.get()
-        idx += jobs
+                continue
+            proc.join()
+            reader.close()
+            del running[i]
     return results
 
 
@@ -542,12 +561,6 @@ def _ct_command(args, out):
         kern = dyson_kernel(a)
     elif args.kernel == "tkernel":
         kern = tkernel(a)
-        if args.t_mode == "qa":
-            powers = {(i, j): a[j - 1] for i in range(1, n)
-                      for j in range(i + 1, n + 1)}
-            kern = kern.subst_t_qpowers(powers)
-        elif args.t_mode == "zero":
-            kern = kern.subst_t_zero()
     elif args.kernel == "alternating":
         kern = bg_alternating_kernel(a)
     elif args.kernel == "tournament":
@@ -562,7 +575,14 @@ def _ct_command(args, out):
     else:
         print(f"unknown kernel {args.kernel!r}", file=sys.stderr)
         return 2
-    out.write(str(kern.coeff_x(v)) + "\n")
+    coeff = kern.coeff_x(v)
+    # t carries no x, so substituting it commutes with the extraction
+    if args.kernel == "tkernel" and args.t_mode == "qa":
+        coeff = coeff.subst_t_qpowers({(i, j): a[j - 1] for i in range(1, n)
+                                       for j in range(i + 1, n + 1)})
+    elif args.kernel == "tkernel" and args.t_mode == "zero":
+        coeff = coeff.subst_t_zero()
+    out.write(str(coeff) + "\n")
     return 0
 
 

@@ -24,7 +24,7 @@ from .combi import (
     is_strict, weight,
 )
 from .mpoly import (
-    MPoly, VarTable, bg_alternating_kernel, bg_kernel, dyson_kernel,
+    Kernel, MPoly, VarTable, bg_alternating_kernel, bg_kernel, dyson_kernel,
     mul_coeff_x, product, table_kernel, table_u, table_x, tau_kernel,
     tkernel, tournament_kernel, tzero_kernel,
 )
@@ -190,8 +190,9 @@ def D_vlambda(v, lam, a, t_mode: str = "qa",
         kern = tzero_kernel(a, table)
     else:
         raise ValueError(f"unknown t_mode {t_mode!r}")
-    s = schur_principal(lam, a, table)
-    out = mul_coeff_x(s, kern, v)
+    # the Schur factor joins one half, so the full kernel is never built
+    low, high = kern.halves
+    out = mul_coeff_x(low, high * schur_principal(lam, a, table), v)
     if weight(v) != sum(lam):
         if not out.is_zero:
             raise AssertionError("homogeneity violated: nonzero CT at |v| != |la|")
@@ -455,8 +456,8 @@ def rhs_lxz(v, a) -> IntPoly:
 
 
 @functools.lru_cache(maxsize=4)
-def _dyson_kernel_cached(a: tuple) -> MPoly:
-    # consecutive coefficient extractions share one kernel expansion
+def _dyson_kernel_cached(a: tuple) -> Kernel:
+    # consecutive coefficient extractions share one pair of expanded halves
     return dyson_kernel(a)
 
 

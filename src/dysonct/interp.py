@@ -314,13 +314,6 @@ def sills_factors(a):
     return 1, factors
 
 
-def sills_degree_profile(a, r: int) -> tuple:
-    a = tuple(a)
-    total = sum(a)
-    return tuple(total - a[i - 1] + (1 if i == 1 else 0) - (1 if i == r else 0)
-                 for i in range(1, len(a) + 1))
-
-
 def sills_grid(a, r: int, keep_excluded: bool = False) -> Grid:
     """The grid of the direct interpolation proof of the near-constant-term
     formula, normalised to s = 1.  ``keep_excluded`` readmits the point

@@ -9,9 +9,12 @@ Internally a monomial's exponent vector is packed into a single integer,
 32 bits per variable with an offset of 2^31 so that negative (Laurent)
 exponents are representable.  Multiplying two monomials is then a single
 integer addition, which is what makes the brute-force kernel expansions
-cheap enough for the verification grids.  Exponents anywhere near the
-field width are unreachable for the desk-scale inputs this package
-handles (they are bounded by the number of kernel factors).
+cheap enough for the verification grids.  Every exponent must lie in the
+signed field range [-2^31, 2^31): ``VarTable.encode``, ``monomial_key``,
+``MPoly.from_intpoly`` and the coefficient shifts of ``coeff_x``,
+``coeff_aux`` and ``mul_coeff_x`` raise ValueError for anything outside
+it.  The multiply loops stay unchecked; a kernel's exponents are bounded
+by its number of factors.
 
 MPoly values are immutable once built; every operation returns a fresh
 polynomial.
@@ -99,11 +102,32 @@ class VarTable:
 
     # -- monomial packing ---------------------------------------------------
 
+    def shift(self, exps) -> int:
+        """Packed offset of (variable index, exponent) pairs.
+
+        Adding it to a key moves each listed exponent by the given amount.
+        Raises ValueError for an exponent outside the field range.
+        """
+        out = 0
+        for k, e in exps:
+            if not -_B <= e < _B:
+                raise ValueError(f"exponent {e} outside the packed range "
+                                 f"[-2^{_W - 1}, 2^{_W - 1})")
+            out += e << (_W * k)
+        return out
+
+    def x_shift(self, v) -> int:
+        """``shift`` for an exponent vector over the x-block."""
+        v = tuple(v)
+        if len(v) != self.nx:
+            raise ValueError(f"coefficient vector length {len(v)} != {self.nx}")
+        return self.shift(enumerate(v, start=1))
+
     def encode(self, vec) -> int:
         vec = tuple(vec)
         if len(vec) != self.nvars:
             raise ValueError(f"exponent vector length {len(vec)} != {self.nvars}")
-        return sum((e + _B) << (_W * k) for k, e in enumerate(vec))
+        return self.off + self.shift(enumerate(vec))
 
     def decode(self, key: int) -> tuple:
         return tuple(((key >> (_W * k)) & _FIELD) - _B
@@ -111,10 +135,7 @@ class VarTable:
 
     def monomial_key(self, exps: dict) -> int:
         """Pack {variable index: exponent} (missing entries are 0)."""
-        key = self.off
-        for k, e in exps.items():
-            key += e << (_W * k)
-        return key
+        return self.off + self.shift(exps.items())
 
 
 # -- table factories -----------------------------------------------------------
@@ -187,7 +208,8 @@ class MPoly:
 
     @classmethod
     def from_intpoly(cls, table, p: IntPoly) -> "MPoly":
-        return cls._make(table, {table.off + e: c for e, c in p.items()})
+        return cls._make(table, {table.off + table.shift([(0, e)]): c
+                                 for e, c in p.items()})
 
     # -- inspection ----------------------------------------------------------
 
@@ -314,10 +336,7 @@ class MPoly:
     def coeff_x(self, v) -> "MPoly":
         """Coefficient of x^v; x-exponents are projected back to zero."""
         t = self.table
-        v = tuple(v)
-        if len(v) != t.nx:
-            raise ValueError(f"coefficient vector length {len(v)} != {t.nx}")
-        shift = sum(e << (_W * t.x_index(i + 1)) for i, e in enumerate(v))
+        shift = t.x_shift(v)
         target = t._xoff + shift
         xm = t._xmask
         return MPoly._make(t, {k - shift: c for k, c in self._terms.items()
@@ -351,7 +370,7 @@ class MPoly:
         exps = dict(exponents)
         if not set(exps) <= valid:
             raise ValueError(f"indices {sorted(set(exps) - valid)} not in family {family}")
-        shift = sum(e << (_W * index(ix)) for ix, e in exps.items())
+        shift = t.shift((index(ix), e) for ix, e in exps.items())
         target = (t.off & mask) + shift
         return MPoly._make(t, {k - shift: c for k, c in self._terms.items()
                                if k & mask == target})
@@ -529,17 +548,6 @@ class MPoly:
                          for i in range(1, t.nx + 1)))
         return degs
 
-    def max_x_exponents(self):
-        """Per-variable maximum x-exponents (0 for the zero polynomial)."""
-        t = self.table
-        mx = [0] * t.nx
-        for k in self._terms:
-            for i in range(1, t.nx + 1):
-                e = ((k >> (_W * i)) & _FIELD) - _B
-                if e > mx[i - 1]:
-                    mx[i - 1] = e
-        return tuple(mx)
-
     def min_x_exponent(self) -> int:
         t = self.table
         lo = 0
@@ -625,15 +633,12 @@ def mul_coeff_x(p1: MPoly, p2: MPoly, v) -> MPoly:
     t = p1.table
     if p2.table != t:
         raise ValueError("variable tables differ")
-    v = tuple(v)
-    if len(v) != t.nx:
-        raise ValueError("coefficient vector length mismatch")
     xm = t._xmask
     xoff = t._xoff
+    vkey = xoff + t.x_shift(v)
     buckets: dict[int, list] = {}
     for k, c in p2._terms.items():
         buckets.setdefault(k & xm, []).append((k, c))
-    vkey = xoff + sum(e << (_W * t.x_index(i + 1)) for i, e in enumerate(v))
     out: dict[int, int] = {}
     off = t.off
     for k1, c1 in p1._terms.items():
@@ -652,20 +657,17 @@ def mul_coeff_x(p1: MPoly, p2: MPoly, v) -> MPoly:
     return MPoly._make(t, out)
 
 
-# -- kernel builders ----------------------------------------------------------------
+# -- kernels ----------------------------------------------------------------------
+
+KERNEL_FAMILIES = ("dyson", "t", "tzero", "tau", "tournament", "bg",
+                   "bg-alternating")
+
 
 def poch_factor(table: VarTable, i: int, j: int, shift: int, count: int) -> MPoly:
     """(q^shift * x_i / x_j)_count as an expanded polynomial."""
     if count < 0:
         raise ValueError("poch_factor needs count >= 0")
-    xi, xj = table.x_index(i), table.x_index(j)
-    out = MPoly.one(table)
-    for k in range(count):
-        out = out * MPoly._make(table, {
-            table.off: 1,
-            table.monomial_key({0: shift + k, xi: 1, xj: -1}): -1,
-        })
-    return out
+    return product(_poch_binomials(table, i, j, shift, count), table)
 
 
 def _poch_binomials(table, i, j, shift, count):
@@ -685,134 +687,145 @@ def _t_binomial(table, var_index, i, j):
     })
 
 
-def dyson_kernel(a, table: VarTable | None = None) -> MPoly:
-    """prod_{i<j} (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j}; a_i >= 0."""
+def kernel_factors(family: str, a, table: VarTable, *, m: int = 0,
+                   tournament=None, index_set=()) -> list:
+    """The binomial factors whose product is the kernel of ``family``.
+
+    With (x)_k = (1 - x)(1 - q x)...(1 - q^{k-1} x), pairs i < j and
+    chi_I the indicator of ``index_set``:
+
+      dyson           prod (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j};  a_i >= 0
+      t               prod (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j - 1} (1 - t[i,j] x_j/x_i)
+      tzero           the t kernel at t = 0
+      tau             the t kernel of (a, 1^m) on n + m variables, with
+                      t[i,j] for pairs inside the first n, s[i,j-n] for
+                      pairs crossing into the last m, and no t-factor for
+                      pairs inside the last m
+      tournament      the tzero factors over the directed edges (i, j) of
+                      ``tournament`` instead of the pairs i < j
+      bg              prod (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j - chi_I(j)}
+      bg-alternating  prod (x_j/x_i - x_i/x_j) * prod_{i != j} (q x_i/x_j)_{a_i - 1}
+
+    Every family but dyson needs positive a.  Each factor is checked to be
+    homogeneous of x-degree 0, so the product is too.
+    """
     a = tuple(a)
     n = len(a)
-    if any(x < 0 for x in a):
-        raise ValueError("dyson_kernel needs nonnegative a")
-    if table is None:
-        table = table_x(n)
-    factors = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            factors += _poch_binomials(table, i, j, 0, a[i - 1])
-            factors += _poch_binomials(table, j, i, 1, a[j - 1])
-    out = product(factors, table)
-    if out.x_degrees() - {0}:
-        raise AssertionError("dyson kernel is not homogeneous of x-degree 0")
-    return out
-
-
-def tkernel(a, table: VarTable | None = None) -> MPoly:
-    """prod_{i<j} (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j - 1} (1 - t[i,j] x_j/x_i)."""
-    a = tuple(a)
-    n = len(a)
-    if any(x < 1 for x in a):
-        raise ValueError("tkernel needs positive a")
-    if table is None:
-        table = table_kernel(n)
-    factors = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            factors += _poch_binomials(table, i, j, 0, a[i - 1])
-            factors += _poch_binomials(table, j, i, 1, a[j - 1] - 1)
-            factors.append(_t_binomial(table, table.t_index(i, j), i, j))
-    return product(factors, table)
-
-
-def tzero_kernel(a, table: VarTable | None = None) -> MPoly:
-    """prod_{i<j} (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j - 1}: the t -> 0 kernel."""
-    a = tuple(a)
-    n = len(a)
-    if any(x < 1 for x in a):
-        raise ValueError("tzero_kernel needs positive a")
-    if table is None:
-        table = table_x(n)
-    factors = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            factors += _poch_binomials(table, i, j, 0, a[i - 1])
-            factors += _poch_binomials(table, j, i, 1, a[j - 1] - 1)
-    return product(factors, table)
-
-
-def tau_kernel(a, m: int, table: VarTable | None = None) -> MPoly:
-    """The (n+m)-variable kernel for the sequence (a, 1^m) whose t's vanish
-    beyond the first n indices: pairs inside the x-block keep t[i,j], pairs
-    crossing into the appended block carry s[i,j], pairs inside the appended
-    block reduce to (1 - x_i/x_j)."""
-    a = tuple(a)
-    n = len(a)
-    if any(x < 1 for x in a):
-        raise ValueError("tau_kernel needs positive a")
-    if table is None:
-        table = table_tau(n, m)
-    factors = []
-    full = a + (1,) * m
-    for i in range(1, n + m + 1):
-        for j in range(i + 1, n + m + 1):
+    if family not in KERNEL_FAMILIES:
+        raise ValueError(f"unknown kernel family {family!r}")
+    low = 0 if family == "dyson" else 1
+    if any(x < low for x in a):
+        raise ValueError(f"{family} kernel needs "
+                         f"{'nonnegative' if low == 0 else 'positive'} a")
+    if family == "bg-alternating":
+        factors = []
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                factors.append(MPoly._make(table, {
+                    table.monomial_key({j: 1, i: -1}): 1,
+                    table.monomial_key({i: 1, j: -1}): -1,
+                }))
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i != j:
+                    factors += _poch_binomials(table, i, j, 1, a[i - 1] - 1)
+    else:
+        if family == "tournament":
+            if tournament is None or tournament.n != n:
+                raise ValueError("length of a must match the tournament")
+            edges = sorted(tournament.edges)
+        else:
+            size = n + (m if family == "tau" else 0)
+            edges = [(i, j) for i in range(1, size + 1)
+                     for j in range(i + 1, size + 1)]
+        full = a + (1,) * (m if family == "tau" else 0)
+        factors = []
+        for i, j in edges:
+            if family == "dyson":
+                deficit = 0
+            elif family == "bg":
+                deficit = 1 if j in index_set else 0
+            else:
+                deficit = 1
             factors += _poch_binomials(table, i, j, 0, full[i - 1])
-            factors += _poch_binomials(table, j, i, 1, full[j - 1] - 1)
-            if j <= n:
+            factors += _poch_binomials(table, j, i, 1, full[j - 1] - deficit)
+            if family == "t" or (family == "tau" and j <= n):
                 factors.append(_t_binomial(table, table.t_index(i, j), i, j))
-            elif i <= n:
+            elif family == "tau" and i <= n:
                 factors.append(_t_binomial(table, table.s_index(i, j - n), i, j))
-    return product(factors, table)
+    if any(f.x_degrees() != {0} for f in factors):
+        raise AssertionError(f"{family} kernel factor is not homogeneous "
+                             "of x-degree 0")
+    return factors
 
 
-def tournament_kernel(t, a, table: VarTable | None = None) -> MPoly:
+class Kernel:
+    """A product of binomial factors, held as its two halves expanded
+    separately (``halves``).
+
+    A coefficient is read by matching the halves through ``mul_coeff_x``,
+    so the full product is built only by ``expand``.
+    """
+
+    __slots__ = ("table", "halves")
+
+    def __init__(self, factors, table: VarTable):
+        half = len(factors) // 2
+        self.table = table
+        self.halves = (product(factors[:half], table),
+                       product(factors[half:], table))
+
+    def coeff_x(self, v) -> MPoly:
+        """Coefficient of x^v; x-exponents are projected back to zero."""
+        return mul_coeff_x(*self.halves, v)
+
+    def ct_x(self) -> MPoly:
+        """The constant term in x."""
+        return self.coeff_x((0,) * self.table.nx)
+
+    def expand(self) -> MPoly:
+        """The full product of the factors."""
+        return self.halves[0] * self.halves[1]
+
+
+def dyson_kernel(a, table: VarTable | None = None) -> Kernel:
+    """prod_{i<j} (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j}; a_i >= 0."""
+    table = table_x(len(a)) if table is None else table
+    return Kernel(kernel_factors("dyson", a, table), table)
+
+
+def tkernel(a, table: VarTable | None = None) -> Kernel:
+    """prod_{i<j} (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j - 1} (1 - t[i,j] x_j/x_i)."""
+    table = table_kernel(len(a)) if table is None else table
+    return Kernel(kernel_factors("t", a, table), table)
+
+
+def tzero_kernel(a, table: VarTable | None = None) -> Kernel:
+    """prod_{i<j} (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j - 1}: the t -> 0 kernel."""
+    table = table_x(len(a)) if table is None else table
+    return Kernel(kernel_factors("tzero", a, table), table)
+
+
+def tau_kernel(a, m: int, table: VarTable | None = None) -> Kernel:
+    """The (n+m)-variable kernel for the sequence (a, 1^m) whose t's vanish
+    beyond the first n indices (see ``kernel_factors``)."""
+    table = table_tau(len(a), m) if table is None else table
+    return Kernel(kernel_factors("tau", a, table, m=m), table)
+
+
+def tournament_kernel(t, a, table: VarTable | None = None) -> Kernel:
     """prod over directed edges (i, j) of (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j-1}."""
-    a = tuple(a)
-    if any(x < 1 for x in a):
-        raise ValueError("tournament_kernel needs positive a")
-    if len(a) != t.n:
-        raise ValueError("length of a must match the tournament")
-    if table is None:
-        table = table_x(t.n)
-    factors = []
-    for i, j in sorted(t.edges):
-        factors += _poch_binomials(table, i, j, 0, a[i - 1])
-        factors += _poch_binomials(table, j, i, 1, a[j - 1] - 1)
-    return product(factors, table)
+    table = table_x(len(a)) if table is None else table
+    return Kernel(kernel_factors("tournament", a, table, tournament=t), table)
 
 
-def bg_kernel(a, index_set, table: VarTable | None = None) -> MPoly:
+def bg_kernel(a, index_set, table: VarTable | None = None) -> Kernel:
     """prod_{i<j} (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j - chi(j in I)}."""
-    a = tuple(a)
-    n = len(a)
-    if any(x < 1 for x in a):
-        raise ValueError("bg_kernel needs positive a")
-    index_set = set(index_set)
-    if table is None:
-        table = table_x(n)
-    factors = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            factors += _poch_binomials(table, i, j, 0, a[i - 1])
-            factors += _poch_binomials(table, j, i, 1,
-                                       a[j - 1] - (1 if j in index_set else 0))
-    return product(factors, table)
+    table = table_x(len(a)) if table is None else table
+    return Kernel(kernel_factors("bg", a, table, index_set=set(index_set)), table)
 
 
-def bg_alternating_kernel(a, table: VarTable | None = None) -> MPoly:
+def bg_alternating_kernel(a, table: VarTable | None = None) -> Kernel:
     """prod_{i<j} (x_j/x_i - x_i/x_j) * prod_{i != j} (q x_i/x_j)_{a_i - 1}."""
-    a = tuple(a)
-    n = len(a)
-    if any(x < 1 for x in a):
-        raise ValueError("bg_alternating_kernel needs positive a")
-    if table is None:
-        table = table_x(n)
-    factors = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            xi, xj = table.x_index(i), table.x_index(j)
-            factors.append(MPoly._make(table, {
-                table.monomial_key({xj: 1, xi: -1}): 1,
-                table.monomial_key({xi: 1, xj: -1}): -1,
-            }))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                factors += _poch_binomials(table, i, j, 1, a[i - 1] - 1)
-    return product(factors, table)
+    table = table_x(len(a)) if table is None else table
+    return Kernel(kernel_factors("bg-alternating", a, table), table)

@@ -1,6 +1,12 @@
 import json
+import multiprocessing
+import time
 
+import pytest
+
+import dysonct.cli as cli
 from dysonct.cli import RunConfig, main, run
+from dysonct.identities import VerifyReport
 
 
 class TestVerifyCommand:
@@ -67,6 +73,34 @@ class TestParallelism:
         assert code == 0
         assert all(r["status"] == "ok" for r in records)
 
+    def test_budget_large_reports_are_not_timeouts(self):
+        # usum n = 4 reports reach 80 KB, more than a pipe buffer holds
+        start = time.monotonic()
+        code, records = run(RunConfig("usum", n=4, jobs=2, budget_ms=2000))
+        assert code == 0
+        assert len(records) == 14
+        assert all(r["status"] == "ok" and r["equal"] for r in records)
+        assert time.monotonic() - start < 10
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched runner reaches workers by fork")
+    def test_budget_each_case_timed_from_its_own_start(self, monkeypatch):
+        # the second case overruns its own budget but would finish within
+        # a budget started when the first case's wait ends
+        def enum(cfg):
+            return [{"sleep": 5.0}, {"sleep": 1.6}, {"sleep": 0.0}]
+
+        def sleepy(p):
+            time.sleep(p["sleep"])
+            return VerifyReport("sleepy", p, "1", "1", True, 0)
+
+        monkeypatch.setitem(cli.REGISTRY, "sleepy", (enum, sleepy))
+        start = time.monotonic()
+        code, records = run(RunConfig("sleepy", jobs=2, budget_ms=1000))
+        assert time.monotonic() - start < 4
+        assert code == 0
+        assert [r["status"] for r in records] == ["timeout", "timeout", "ok"]
+
 
 class TestCtCommand:
     def test_dyson_constant_term(self, capsys):
@@ -89,6 +123,13 @@ class TestCtCommand:
         got = capsys.readouterr().out.strip()
         main(["ct", "dyson", "--a", "2,1", "--v", "0,0"])
         assert capsys.readouterr().out.strip() == got
+
+    def test_exponent_outside_packed_range(self, capsys):
+        code = main(["ct", "dyson", "--a", "1,1", "--v", "4294967296,-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_bad_vector_length(self, capsys):
         code = main(["ct", "dyson", "--a", "1,1", "--v", "0,0,0"])
