@@ -51,9 +51,7 @@ class RunConfig:
     n: int = 3
     a_max: int = 2
     m_max: int = 2
-    t_mode: str = "symbolic"
     jobs: int = 1
-    fmt: str = "text"
     seed: int = 0
     budget_ms: int | None = None
     sum_max: int | None = None
@@ -601,8 +599,6 @@ def build_parser():
     pv.add_argument("--m-max", type=int, default=2)
     pv.add_argument("--sum-max", type=int, default=None,
                     help="skip tuples whose entries sum beyond this bound")
-    pv.add_argument("--t-mode", choices=["symbolic", "qa", "zero"],
-                    default="symbolic")
     pv.add_argument("--jobs", type=int, default=None)
     pv.add_argument("--format", choices=["text", "json"], default="text")
     pv.add_argument("--seed", type=int, default=0)
@@ -646,8 +642,7 @@ def main(argv=None) -> int:
         if jobs is None:
             jobs = int(os.environ.get(JOBS_ENV, "1"))
         config = RunConfig(identity=args.identity, n=args.n, a_max=args.a_max,
-                           m_max=args.m_max, t_mode=args.t_mode, jobs=jobs,
-                           fmt=args.format, seed=args.seed,
+                           m_max=args.m_max, jobs=jobs, seed=args.seed,
                            budget_ms=args.budget_ms, sum_max=args.sum_max)
         code, records = run(config)
         _emit(records, args.format, out)

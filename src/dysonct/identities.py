@@ -26,7 +26,7 @@ from .combi import (
 from .mpoly import (
     Kernel, MPoly, VarTable, bg_alternating_kernel, bg_kernel, dyson_kernel,
     mul_coeff_x, product, table_kernel, table_u, table_x, tau_kernel,
-    tkernel, tournament_kernel, tzero_kernel,
+    tkernel, tournament_kernel,
 )
 from .qpoly import IntPoly, QRat, one_minus_q, q_power_diff, qbinom, qmultinom, qpoch
 from .symfun import schur_principal
@@ -168,8 +168,7 @@ def D_vlambda(v, lam, a, t_mode: str = "qa",
     """Brute-force CT[ x^{-v} s_lambda(x^(a)) kernel ].
 
     ``t_mode`` picks the kernel deformation: "symbolic" keeps the t
-    variables, "qa" substitutes t[i,j] = q^{a_j} (the plain product), and
-    "zero" drops the t factors entirely.
+    variables and "qa" substitutes t[i,j] = q^{a_j} (the plain product).
     """
     v = tuple(v)
     a = tuple(a)
@@ -184,10 +183,6 @@ def D_vlambda(v, lam, a, t_mode: str = "qa",
         if table is None:
             table = table_x(n)
         kern = dyson_kernel(a, table)
-    elif t_mode == "zero":
-        if table is None:
-            table = table_x(n)
-        kern = tzero_kernel(a, table)
     else:
         raise ValueError(f"unknown t_mode {t_mode!r}")
     # the Schur factor joins one half, so the full kernel is never built
@@ -288,14 +283,12 @@ def _u_chain(w: Permutation):
     return chain
 
 
-def usum_cleared_sides(n: int):
-    """Numerators of both sides of the full u-sum identity after clearing
-    the denominator prod over nonempty subsets A of (1 - u_A)."""
-    table = table_u(n)
-    subsets = [frozenset(s) for r in range(1, n + 1)
-               for s in itertools.combinations(range(1, n + 1), r)]
+def _usum_cleared_lhs(table, subsets, perms) -> MPoly:
+    """Sum over ``perms`` of prod_i (1 - u_{w(i)}) * u_{R(w)} times the
+    (1 - u_A) factors of the subsets A off the chain of w."""
+    n = table.u_size
     lhs = MPoly.zero(table)
-    for w in Permutation.all_perms(n):
+    for w in perms:
         chain = set(_u_chain(w))
         term = MPoly.one(table)
         for i in range(1, n + 1):
@@ -306,6 +299,16 @@ def usum_cleared_sides(n: int):
             if sub not in chain:
                 term = term * (MPoly.one(table) - _u_subset_monomial(table, sub))
         lhs = lhs + term
+    return lhs
+
+
+def usum_cleared_sides(n: int):
+    """Numerators of both sides of the full u-sum identity after clearing
+    the denominator prod over nonempty subsets A of (1 - u_A)."""
+    table = table_u(n)
+    subsets = [frozenset(s) for r in range(1, n + 1)
+               for s in itertools.combinations(range(1, n + 1), r)]
+    lhs = _usum_cleared_lhs(table, subsets, Permutation.all_perms(n))
     rhs = product([MPoly.one(table) - _u_subset_monomial(table, sub)
                    for sub in subsets], table)
     return lhs, rhs
@@ -319,20 +322,8 @@ def usum_k_cleared_sides(n: int, k: int):
     subsets = [frozenset(s) for r in range(1, n + 1)
                for s in itertools.combinations(range(1, n + 1), r)]
     full = frozenset(range(1, n + 1))
-    lhs = MPoly.zero(table)
-    for w in Permutation.all_perms(n):
-        if w(n) != k:
-            continue
-        chain = set(_u_chain(w))
-        term = MPoly.one(table)
-        for i in range(1, n + 1):
-            term = term * (MPoly.one(table) - _u_subset_monomial(table, {w(i)}))
-        for _, j in w.recording_set():
-            term = term * _u_subset_monomial(table, {j})
-        for sub in subsets:
-            if sub not in chain:
-                term = term * (MPoly.one(table) - _u_subset_monomial(table, sub))
-        lhs = lhs + term
+    lhs = _usum_cleared_lhs(table, subsets, [
+        w for w in Permutation.all_perms(n) if w(n) == k])
     rhs = _u_subset_monomial(table, set(range(k + 1, n + 1)))
     rhs = rhs * (MPoly.one(table) - _u_subset_monomial(table, {k}))
     rhs = rhs * product([MPoly.one(table) - _u_subset_monomial(table, sub)
@@ -512,18 +503,6 @@ class VerifyReport:
     rhs: str
     equal: bool
     millis: int
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "identity": self.identity, "params": self.params,
-            "lhs": self.lhs, "rhs": self.rhs, "equal": self.equal,
-            "millis": self.millis,
-        }, sort_keys=True)
-
-    def text_line(self) -> str:
-        status = "PASS" if self.equal else "FAIL"
-        params = " ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        return f"{status} {self.identity} {params} | lhs={self.lhs} rhs={self.rhs}"
 
 
 def _report(identity, params, lhs_str, rhs_str, started) -> VerifyReport:

@@ -11,10 +11,15 @@ exponents are representable.  Multiplying two monomials is then a single
 integer addition, which is what makes the brute-force kernel expansions
 cheap enough for the verification grids.  Every exponent must lie in the
 signed field range [-2^31, 2^31): ``VarTable.encode``, ``monomial_key``,
-``MPoly.from_intpoly`` and the coefficient shifts of ``coeff_x``,
-``coeff_aux`` and ``mul_coeff_x`` raise ValueError for anything outside
-it.  The multiply loops stay unchecked; a kernel's exponents are bounded
-by its number of factors.
+the ``MPoly`` constructor, ``MPoly.from_intpoly``, the coefficient shifts
+of ``coeff_x``, ``coeff_aux`` and ``mul_coeff_x``, and every substitution
+(``subst_x_qpower``, ``subst_t_qpowers``, the permutations and the gamma
+shifts, which rebuild through the constructor) raise ValueError for
+anything outside it.  The multiply loops stay unchecked; a kernel's
+exponents are bounded by its number of factors.
+
+This module owns the packed format: other modules go through exponent
+vectors and ``monomial_key`` and never shift or mask a packed key.
 
 MPoly values are immutable once built; every operation returns a fresh
 polynomial.
@@ -36,8 +41,8 @@ class VarTable:
     """Ordered variable table: q, an x-block, and auxiliary families."""
 
     __slots__ = ("nx", "t_pairs", "s_shape", "u_size", "names", "nvars",
-                 "off", "_index", "_xmask", "_xoff", "_tmask", "_toff",
-                 "_smask", "_soff", "_umask", "_uoff")
+                 "off", "_index", "_xmask", "_xoff", "_tmask", "_smask",
+                 "_umask")
 
     def __init__(self, nx: int, t_pairs=(), s_shape=None, u_size: int = 0):
         t_pairs = tuple(sorted(t_pairs))
@@ -60,19 +65,18 @@ class VarTable:
         self.nvars = len(names)
         self._index = {name: k for k, name in enumerate(names)}
         self.off = sum(_B << (_W * k) for k in range(self.nvars))
-        self._xmask, self._xoff = self._group_mask(1, nx)
+        self._xmask = self._group_mask(1, nx)
+        self._xoff = self.off & self._xmask
         t0 = 1 + nx
-        self._tmask, self._toff = self._group_mask(t0, len(t_pairs))
+        self._tmask = self._group_mask(t0, len(t_pairs))
         s0 = t0 + len(t_pairs)
         ns = self.s_shape[0] * self.s_shape[1] if self.s_shape else 0
-        self._smask, self._soff = self._group_mask(s0, ns)
-        self._umask, self._uoff = self._group_mask(s0 + ns, u_size)
+        self._smask = self._group_mask(s0, ns)
+        self._umask = self._group_mask(s0 + ns, u_size)
 
-    def _group_mask(self, start, count):
-        mask = 0
-        for k in range(start, start + count):
-            mask |= _FIELD << (_W * k)
-        return mask, self.off & mask
+    @staticmethod
+    def _group_mask(start, count):
+        return sum(_FIELD << (_W * k) for k in range(start, start + count))
 
     # -- variable indices ---------------------------------------------------
 
@@ -130,8 +134,10 @@ class VarTable:
         return self.off + self.shift(enumerate(vec))
 
     def decode(self, key: int) -> tuple:
-        return tuple(((key >> (_W * k)) & _FIELD) - _B
-                     for k in range(self.nvars))
+        # from a list, so the tuple is allocated at its final size and
+        # reuses the interpreter's tuple free list instead of growing it
+        return tuple([((key >> (_W * k)) & _FIELD) - _B
+                      for k in range(self.nvars)])
 
     def monomial_key(self, exps: dict) -> int:
         """Pack {variable index: exponent} (missing entries are 0)."""
@@ -223,12 +229,14 @@ class MPoly:
     def __len__(self):
         return len(self._terms)
 
+    def _vectors(self):
+        """(exponent vector, coefficient) pairs in storage order."""
+        dec = self.table.decode
+        return ((dec(k), c) for k, c in self._terms.items())
+
     def terms(self):
         """(exponent vector, coefficient) pairs in graded-lex order."""
-        dec = self.table.decode
-        out = [(dec(k), c) for k, c in self._terms.items()]
-        out.sort(key=lambda vc: (sum(vc[0]), vc[0]))
-        return out
+        return sorted(self._vectors(), key=lambda vc: (sum(vc[0]), vc[0]))
 
     def coeff(self, vec) -> int:
         return self._terms.get(self.table.encode(vec), 0)
@@ -376,29 +384,22 @@ class MPoly:
                                if k & mask == target})
 
     # -- substitutions ----------------------------------------------------------
+    #
+    # Each rewrite maps decoded exponent vectors and rebuilds through the
+    # checked constructor, which merges equal monomials, drops zero
+    # coefficients and rejects exponents outside the packed range.
 
     def subst_x_qpower(self, alpha) -> "MPoly":
         """Substitute x_i -> q^{alpha_i}; the x-block collapses into q."""
-        t = self.table
+        n = self.table.nx
         alpha = tuple(alpha)
-        if len(alpha) != t.nx:
+        if len(alpha) != n:
             raise ValueError("alpha length mismatch")
-        out: dict[int, int] = {}
-        for k, c in self._terms.items():
-            delta = 0
-            strip = 0
-            for i in range(1, t.nx + 1):
-                e = ((k >> (_W * i)) & _FIELD) - _B
-                if e:
-                    delta += alpha[i - 1] * e
-                    strip += e << (_W * i)
-            nk = k - strip + delta
-            s = out.get(nk, 0) + c
-            if s:
-                out[nk] = s
-            else:
-                del out[nk]
-        return MPoly._make(t, out)
+        zeros = (0,) * n
+        return MPoly(self.table, (
+            ((v[0] + sum(a * e for a, e in zip(alpha, v[1:])),) + zeros
+             + v[n + 1:], c)
+            for v, c in self._vectors()))
 
     def to_intpoly(self) -> IntPoly:
         """Convert when only q carries exponents; error otherwise."""
@@ -416,37 +417,27 @@ class MPoly:
         t = self.table
         if set(powers) != set(t.t_pairs):
             raise ValueError("powers must cover exactly the t pairs")
-        out: dict[int, int] = {}
-        for k, c in self._terms.items():
-            delta = 0
-            strip = 0
-            for pair in t.t_pairs:
-                ix = t.t_index(*pair)
-                e = ((k >> (_W * ix)) & _FIELD) - _B
-                if e:
-                    delta += powers[pair] * e
-                    strip += e << (_W * ix)
-            nk = k - strip + delta
-            s = out.get(nk, 0) + c
-            if s:
-                out[nk] = s
-            else:
-                del out[nk]
-        return MPoly._make(t, out)
+        moves = [(t.t_index(*pair), powers[pair]) for pair in t.t_pairs]
+
+        def rewrite(v):
+            v = list(v)
+            for ix, power in moves:
+                v[0] += power * v[ix]
+                v[ix] = 0
+            return v
+
+        return MPoly(t, ((rewrite(v), c) for v, c in self._vectors()))
 
     def subst_t_zero(self) -> "MPoly":
         """Substitute every t[i,j] -> 0 (keep only the t-free part)."""
-        t = self.table
-        tm, to = t._tmask, t._toff
-        out = {}
-        for k, c in self._terms.items():
-            part = k & tm
-            if part == to:
-                out[k] = c
-            elif any(((k >> (_W * t.t_index(*p))) & _FIELD) - _B < 0
-                     for p in t.t_pairs):
+        tix = [self.table.t_index(*p) for p in self.table.t_pairs]
+        kept = []
+        for v, c in self._vectors():
+            if any(v[ix] < 0 for ix in tix):
                 raise ValueError("negative t exponent under t -> 0")
-        return MPoly._make(t, out)
+            if not any(v[ix] for ix in tix):
+                kept.append((v, c))
+        return MPoly(self.table, kept)
 
     def subst_t_perm(self, w) -> "MPoly":
         """Relabel t[i,j] -> t[w(i),w(j)], inverting when w(i) > w(j).
@@ -455,108 +446,70 @@ class MPoly:
         reversed pairs pick up inverse variables, i.e. negated exponents.
         """
         t = self.table
-        out: dict[int, int] = {}
-        for k, c in self._terms.items():
-            nk = k
-            for pair in t.t_pairs:
-                ix = t.t_index(*pair)
-                e = ((k >> (_W * ix)) & _FIELD) - _B
-                if not e:
-                    continue
-                a, b = w(pair[0]), w(pair[1])
-                nk -= e << (_W * ix)
-                if a < b:
-                    nk += e << (_W * t.t_index(a, b))
-                else:
-                    nk -= e << (_W * t.t_index(b, a))
-            s = out.get(nk, 0) + c
-            if s:
-                out[nk] = s
-            else:
-                del out[nk]
-        return MPoly._make(t, out)
+        moves = [(t.t_index(i, j), t.t_index(*sorted((w(i), w(j)))),
+                  1 if w(i) < w(j) else -1) for i, j in t.t_pairs]
+
+        def rewrite(v):
+            out = list(v)
+            for ix, _, _ in moves:
+                out[ix] = 0
+            for ix, target, sign in moves:
+                out[target] += sign * v[ix]
+            return out
+
+        return MPoly(t, ((rewrite(v), c) for v, c in self._vectors()))
 
     def permute_x(self, w) -> "MPoly":
         """Substitute x_i -> x_{w(i)} (q and auxiliaries untouched)."""
-        t = self.table
-        out: dict[int, int] = {}
-        for k, c in self._terms.items():
-            nk = k
-            for i in range(1, t.nx + 1):
-                e = ((k >> (_W * i)) & _FIELD) - _B
-                if e and w(i) != i:
-                    nk += (e << (_W * w(i))) - (e << (_W * i))
-            s = out.get(nk, 0) + c
-            if s:
-                out[nk] = s
-            else:
-                del out[nk]
-        return MPoly._make(t, out)
+        n = self.table.nx
+
+        def rewrite(v):
+            out = list(v)
+            for i in range(1, n + 1):
+                out[w(i)] = v[i]
+            return out
+
+        return MPoly(self.table, ((rewrite(v), c) for v, c in self._vectors()))
 
     def collapse_t_single(self) -> IntPoly:
         """Substitute every t[i,j] -> t and read off a univariate polynomial
         (returned as an IntPoly whose variable stands for t).  Only valid
         when nothing but t variables carry exponents."""
         t = self.table
+        tix = {t.t_index(*p) for p in t.t_pairs}
         out: dict[int, int] = {}
-        for k, c in self._terms.items():
-            if k & ~t._tmask != t.off & ~t._tmask:
+        for v, c in self._vectors():
+            if any(e for k, e in enumerate(v) if k not in tix):
                 raise ValueError("non-t exponents present")
-            deg = sum(((k >> (_W * t.t_index(*p))) & _FIELD) - _B
-                      for p in t.t_pairs)
+            deg = sum(v[k] for k in tix)
             out[deg] = out.get(deg, 0) + c
         return IntPoly(out)
 
     def gamma_shift(self) -> "MPoly":
         """The q-shifted cyclic action L(x1,...,xn) -> L(x2,...,xn,x1/q)."""
-        return self._gamma(inverse=False)
+        n = self.table.nx
+        return MPoly(self.table, (
+            ((v[0] - v[n], v[n]) + v[1:n] + v[n + 1:], c)
+            for v, c in self._vectors()))
 
     def gamma_shift_inv(self) -> "MPoly":
         """Inverse of gamma_shift: L(x1,...,xn) -> L(q*xn,x1,...,xn-1)."""
-        return self._gamma(inverse=True)
-
-    def _gamma(self, inverse: bool) -> "MPoly":
-        t = self.table
-        n = t.nx
-        out: dict[int, int] = {}
-        for k, c in self._terms.items():
-            e = [((k >> (_W * i)) & _FIELD) - _B for i in range(1, n + 1)]
-            if inverse:
-                ne = e[1:] + e[:1]
-                dq = e[0]
-            else:
-                ne = e[-1:] + e[:-1]
-                dq = -e[-1]
-            nk = k + dq
-            for i in range(n):
-                nk += (ne[i] - e[i]) << (_W * (i + 1))
-            s = out.get(nk, 0) + c
-            if s:
-                out[nk] = s
-            else:
-                del out[nk]
-        return MPoly._make(t, out)
+        n = self.table.nx
+        return MPoly(self.table, (
+            ((v[0] + v[1],) + v[2:n + 1] + (v[1],) + v[n + 1:], c)
+            for v, c in self._vectors()))
 
     # -- structure checks ---------------------------------------------------------
 
     def x_degrees(self):
         """Set of total x-degrees over all terms."""
-        t = self.table
-        degs = set()
-        for k in self._terms:
-            degs.add(sum(((k >> (_W * i)) & _FIELD) - _B
-                         for i in range(1, t.nx + 1)))
-        return degs
+        n = self.table.nx
+        return {sum(v[1:n + 1]) for v, _ in self._vectors()}
 
     def min_x_exponent(self) -> int:
-        t = self.table
-        lo = 0
-        for k in self._terms:
-            for i in range(1, t.nx + 1):
-                e = ((k >> (_W * i)) & _FIELD) - _B
-                if e < lo:
-                    lo = e
-        return lo
+        """The smallest x-exponent over all terms, or 0 if none is negative."""
+        n = self.table.nx
+        return min([0] + [e for v, _ in self._vectors() for e in v[1:n + 1]])
 
     # -- text and machine forms ------------------------------------------------------
 

@@ -15,10 +15,6 @@ from dataclasses import dataclass
 from .mpoly import MPoly, VarTable, product, table_x
 from .qpoly import IntPoly, QRat, one_minus_q
 
-_W = 32
-_B = 1 << (_W - 1)
-_FIELD = (1 << _W) - 1
-
 
 @dataclass(frozen=True)
 class Alphabet:
@@ -149,30 +145,18 @@ def divided_difference(i: int, f: MPoly) -> MPoly:
     t = f.table
     if not 1 <= i <= t.nx - 1:
         raise ValueError(f"divided_difference index {i} out of range")
-    pos_a = _W * t.x_index(i)
-    pos_b = _W * t.x_index(i + 1)
-    out: dict[int, int] = {}
+    xa, xb = t.x_index(i), t.x_index(i + 1)
 
-    def put(key, c):
-        s = out.get(key, 0) + c
-        if s:
-            out[key] = s
-        else:
-            del out[key]
+    def terms():
+        for v, c in f._vectors():
+            p, r = v[xa], v[xb]
+            sign = c if p > r else -c
+            for u in range(min(p, r), max(p, r)):
+                out = list(v)
+                out[xa], out[xb] = u, p + r - 1 - u
+                yield out, sign
 
-    for k, c in f._terms.items():
-        p = ((k >> pos_a) & _FIELD) - _B
-        r = ((k >> pos_b) & _FIELD) - _B
-        if p == r:
-            continue
-        base = k - (p << pos_a) - (r << pos_b)
-        if p > r:
-            for u in range(r, p):
-                put(base + (u << pos_a) + ((p + r - 1 - u) << pos_b), c)
-        else:
-            for u in range(p, r):
-                put(base + (u << pos_a) + ((p + r - 1 - u) << pos_b), -c)
-    return MPoly._make(t, out)
+    return MPoly(t, terms())
 
 
 def isobaric_pi(i: int, f: MPoly) -> MPoly:
@@ -230,22 +214,10 @@ def _key(v, table, op):
 
 def reverse_invert_x(g: MPoly) -> MPoly:
     """g(x_n^{-1}, ..., x_1^{-1}): reverse the x-variables and invert them."""
-    t = g.table
-    n = t.nx
-    out: dict[int, int] = {}
-    for k, c in g._terms.items():
-        nk = k
-        exps = [((k >> (_W * t.x_index(i))) & _FIELD) - _B
-                for i in range(1, n + 1)]
-        for i in range(1, n + 1):
-            e_new = -exps[n - i]
-            nk += (e_new - exps[i - 1]) << (_W * t.x_index(i))
-        s = out.get(nk, 0) + c
-        if s:
-            out[nk] = s
-        else:
-            del out[nk]
-    return MPoly._make(t, out)
+    n = g.table.nx
+    return MPoly(g.table, (
+        (v[:1] + tuple(-e for e in reversed(v[1:n + 1])) + v[n + 1:], c)
+        for v, c in g._vectors()))
 
 
 def scalar_product(f: MPoly, g: MPoly) -> IntPoly:

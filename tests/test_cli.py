@@ -17,6 +17,7 @@ class TestVerifyCommand:
         lines = out.strip().splitlines()
         assert len(lines) == 9  # {0,1,2}^2
         assert all(line.startswith("PASS q-dyson") for line in lines)
+        assert "millis" not in out
 
     def test_unknown_identity_exits_2(self, capsys):
         code = main(["verify", "no-such-identity"])

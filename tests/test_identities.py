@@ -317,17 +317,3 @@ class TestSillsLXZ:
             rhs_lxz((0, 1, -1), (1, 1, 1))
         with pytest.raises(ValueError):
             rhs_lxz((2, -2), (1, 1))
-
-
-class TestVerifyReport:
-    def test_json_schema(self):
-        r = verify_qdyson((1, 1))
-        data = json.loads(r.to_json())
-        assert set(data) == {"identity", "params", "lhs", "rhs", "equal", "millis"}
-        assert data["equal"] is True
-        assert data["identity"] == "q-dyson"
-
-    def test_text_line(self):
-        r = verify_qdyson((1, 1))
-        assert r.text_line().startswith("PASS q-dyson")
-        assert "millis" not in r.text_line()

@@ -76,6 +76,12 @@ class TestArith:
         tk = table_kernel(2)
         with pytest.raises(ValueError):
             tkernel((1, 1), tk).expand().coeff_aux("t", {(1, 2): 2 ** 31})
+        # a substituted q exponent is range-checked too
+        with pytest.raises(ValueError):
+            MPoly.monomial(t, {1: 1}).subst_x_qpower((2 ** 40, 0))
+        with pytest.raises(ValueError):
+            MPoly.monomial(tk, {tk.t_index(1, 2): 1}).subst_t_qpowers(
+                {(1, 2): 2 ** 40})
 
     def test_table_mismatch(self):
         with pytest.raises(ValueError):
@@ -181,6 +187,10 @@ class TestSubstitutions:
             rhs = MPoly(tab, [(vec + (0,) * len(tab.t_pairs), c)
                               for vec, c in rhs_terms])
             assert lhs == rhs
+        # t -> 0 is undefined on a negative t power
+        tab = table_kernel(2)
+        with pytest.raises(ValueError):
+            MPoly.monomial(tab, {tab.t_index(1, 2): -1}).subst_t_zero()
 
     def test_permute_x_roundtrip(self):
         t = table_x(3)
