@@ -2,7 +2,7 @@
 
 The package is organised bottom-up:
 
-  qpoly       exact univariate Laurent polynomials in q and their fractions
+  qpoly       exact Laurent polynomials in q, cyclotomic products, quotients
   mpoly       sparse multivariate Laurent polynomials and kernel builders
   combi       permutations, compositions, pair sets, tournaments, matrices
   symfun      Schur and key polynomials, divided differences, scalar product

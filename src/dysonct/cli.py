@@ -555,6 +555,9 @@ def _ct_command(args, out):
     if len(v) != n:
         print(f"coefficient vector must have length {n}", file=sys.stderr)
         return 2
+    if args.t_mode is not None and args.kernel != "tkernel":
+        print("--t-mode applies only to the tkernel kernel", file=sys.stderr)
+        return 2
     if args.kernel == "dyson":
         kern = dyson_kernel(a)
     elif args.kernel == "tkernel":
@@ -610,7 +613,7 @@ def build_parser():
     pc.add_argument("--a", required=True, help="comma-separated sequence")
     pc.add_argument("--v", required=True, help="comma-separated exponents")
     pc.add_argument("--t-mode", choices=["symbolic", "qa", "zero"],
-                    default="symbolic")
+                    help="t substitution of tkernel (default symbolic)")
     pc.add_argument("--edges", help="tournament edges, e.g. '1>2 2>3 1>3'")
 
     sub.add_parser("list", help="list known identities")

@@ -2,9 +2,12 @@
 
 Each identity gets two independent routes: a left-hand side computed by
 brute-force expansion and constant-term extraction, and a right-hand side
-assembled from q-factorial closed forms.  Closed forms that are a priori
-rational are always computed in QRat and coerced to polynomials, so a
-wrong formula shows up as an arithmetic error rather than silent drift.
+assembled from q-factorial closed forms.  Every closed form is a ratio
+of products of (1 - q^k), built as a cyclotomic product (qpoly.Cyclo) and
+expanded once: a wrong formula leaves some Phi_d with a negative exponent,
+which raises NonExactDivision rather than drifting silently.  Sums of such
+ratios go over a common cyclotomic denominator (qpoly.cyclo_sum) and raise
+the same way when the sum is not a polynomial.
 
 Verifier functions return a VerifyReport whose ``equal`` flag compares the
 canonical serializations of the two sides.
@@ -28,7 +31,7 @@ from .mpoly import (
     mul_coeff_x, product, table_kernel, table_u, table_x, tau_kernel,
     tkernel, tournament_kernel,
 )
-from .qpoly import IntPoly, QRat, one_minus_q, q_power_diff, qbinom, qmultinom, qpoch
+from .qpoly import Cyclo, IntPoly, cyclo_sum, qbinom, qmultinom
 from .symfun import schur_principal
 
 
@@ -90,13 +93,12 @@ def c_w(a, w: Permutation) -> IntPoly:
     a = tuple(a)
     if any(x < 1 for x in a):
         raise ValueError("c_w needs positive a")
-    num = qmultinom(a)
+    out = Cyclo.qmultinom(a)
     for x in a:
-        num = num * one_minus_q(x)
-    den = IntPoly.const(1)
+        out = out * Cyclo.one_minus_q(x)
     for i in range(1, len(a) + 1):
-        den = den * one_minus_q(w_sigma(a, w, i))
-    return QRat(num, den).expect_intpoly("c_w")
+        out = out / Cyclo.one_minus_q(w_sigma(a, w, i))
+    return out.expand()
 
 
 def rhs_poincare_qdyson(a, table: VarTable | None = None) -> MPoly:
@@ -133,25 +135,22 @@ def rhs_bg_general(a, index_set) -> IntPoly:
     if any(x < 1 for x in a):
         raise ValueError("rhs_bg_general needs positive a")
     sigma = partial_sums(a)
-    num = qmultinom(a)
-    den = IntPoly.const(1)
+    out = Cyclo.qmultinom(a)
     for i in sorted(index_set):
-        num = num * one_minus_q(a[i - 1])
-        den = den * one_minus_q(sigma[i - 1])
-    return QRat(num, den).expect_intpoly("bg general")
+        out = out * Cyclo.one_minus_q(a[i - 1]) / Cyclo.one_minus_q(sigma[i - 1])
+    return out.expand()
 
 
 def rhs_bg_alternating(a) -> IntPoly:
     a = tuple(a)
     if any(x < 1 for x in a):
         raise ValueError("rhs_bg_alternating needs positive a")
-    num = qmultinom(a)
-    den = IntPoly.const(1)
+    out = Cyclo.qmultinom(a)
     for i in range(len(a)):
         for j in range(i + 1, len(a)):
-            num = num * q_power_diff(a[i], a[j])
-            den = den * one_minus_q(a[i] + a[j])
-    return QRat(num, den).expect_intpoly("bg alternating")
+            out = (out * Cyclo.q_power_diff(a[i], a[j])
+                   / Cyclo.one_minus_q(a[i] + a[j]))
+    return out.expand()
 
 
 def rhs_tournament(t: Tournament, a) -> IntPoly:
@@ -208,10 +207,9 @@ def rhs_kadell(v, a) -> IntPoly:
     if total == 0 or a[k - 1] == 0:
         return IntPoly()
     sigma = partial_sums(a)
-    num = (one_minus_q(a[k - 1]) * qpoch(total, m) * qmultinom(a)).shifted(
-        sigma[-1] - sigma[k - 1])
-    den = one_minus_q(total) * qpoch(total - a[k - 1] + 1, m)
-    return QRat(num, den).expect_intpoly("Kadell closed form")
+    num = Cyclo.one_minus_q(a[k - 1]) * Cyclo.qpoch(total, m) * Cyclo.qmultinom(a)
+    den = Cyclo.one_minus_q(total) * Cyclo.qpoch(total - a[k - 1] + 1, m)
+    return (num / den).shifted(sigma[-1] - sigma[k - 1]).expand()
 
 
 def rhs_kadell_t(k: int, m: int, a, table: VarTable | None = None) -> MPoly:
@@ -231,21 +229,18 @@ def rhs_kadell_t(k: int, m: int, a, table: VarTable | None = None) -> MPoly:
         table = table_kernel(n)
     sigma = partial_sums(a)
     total = sigma[-1]
-    base_num = qpoch(total, m)
+    base = Cyclo.qpoch(total, m) / Cyclo.qpoch(total - a[k - 1] + 1, m)
     for i in range(1, n + 1):
-        base_num = base_num * qbinom(sigma[i - 1] - 1, a[i - 1] - 1)
-    base_den = qpoch(total - a[k - 1] + 1, m)
+        base = (base * Cyclo.qbinom(sigma[i - 1] - 1, a[i - 1] - 1)
+                * Cyclo.one_minus_q(sigma[i - 1]))
     out = MPoly.zero(table)
     for w in Permutation.all_perms(n):
         if w(n) != k:
             continue
-        num = base_num
-        den = base_den
+        coeff = base
         for i in range(1, n + 1):
-            num = num * one_minus_q(sigma[i - 1])
-            den = den * one_minus_q(w_sigma(a, w, i))
-        coeff = QRat(num, den).expect_intpoly("Kadell t-coefficient")
-        out = out + t_monomial(table, w.recording_set()) * coeff
+            coeff = coeff / Cyclo.one_minus_q(w_sigma(a, w, i))
+        out = out + t_monomial(table, w.recording_set()) * coeff.expand()
     return out
 
 
@@ -261,11 +256,12 @@ def rhs_strict(lam, a, w: Permutation) -> IntPoly:
     if any(x < 1 for x in a):
         raise ValueError("rhs_strict needs positive a")
     lam_bar = reverse(lam)
-    out = IntPoly.const(1)
+    out = Cyclo()
     for i in range(1, n + 1):
-        out = out * qbinom(lam_bar[i - 1] + w_sigma(a, w, i) - 1, a[w(i) - 1] - 1)
+        out = out * Cyclo.qbinom(lam_bar[i - 1] + w_sigma(a, w, i) - 1,
+                                 a[w(i) - 1] - 1)
     shift = sum(a[j - 1] for _, j in w.recording_set())
-    return out.shifted(shift)
+    return out.shifted(shift).expand()
 
 
 # -- u-sum identities ----------------------------------------------------------------
@@ -417,9 +413,8 @@ def rhs_sills(a, r: int, s: int) -> IntPoly:
     if r == s or not (1 <= r <= n and 1 <= s <= n):
         raise ValueError("need distinct indices r, s in 1..n")
     e_rs = (1 if r < s else 0) + sum(a[i - 1] for i in cyclic_interval(s, r, n))
-    num = -(one_minus_q(a[s - 1]) * qmultinom(a)).shifted(e_rs)
-    den = one_minus_q(1 + sum(a) - a[s - 1])
-    return QRat(num, den).expect_intpoly("Sills closed form")
+    out = -(Cyclo.one_minus_q(a[s - 1]) * Cyclo.qmultinom(a)).shifted(e_rs)
+    return (out / Cyclo.one_minus_q(1 + sum(a) - a[s - 1])).expand()
 
 
 def rhs_lxz(v, a) -> IntPoly:
@@ -431,7 +426,8 @@ def rhs_lxz(v, a) -> IntPoly:
     prefix = partial_sums(v)
     index_set = [i for i in range(1, n + 1) if v[i - 1] == 1]
     total = sum(a)
-    acc = QRat(0)
+    multinom = Cyclo.qmultinom(a)
+    terms = []
     for size in range(len(index_set) + 1):
         for J in itertools.combinations(index_set, size):
             aJ = sum(a[j - 1] for j in J)
@@ -439,11 +435,10 @@ def rhs_lxz(v, a) -> IntPoly:
                 continue  # the factor 1 - q^0 kills the term (incl. J = {})
             eJ = sum(prefix[j - 1] * a[j - 1]
                      for j in range(1, n + 1) if j not in J)
-            sign = -1 if size % 2 else 1
-            term = QRat(one_minus_q(aJ).shifted(eJ) * sign,
-                        one_minus_q(1 + total - aJ))
-            acc = acc + term
-    return (acc * qmultinom(a)).expect_intpoly("LXZ closed form")
+            term = (multinom * Cyclo.one_minus_q(aJ)
+                    / Cyclo.one_minus_q(1 + total - aJ)).shifted(eJ)
+            terms.append(-term if size % 2 else term)
+    return cyclo_sum(terms)
 
 
 @functools.lru_cache(maxsize=4)

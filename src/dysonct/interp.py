@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .combi import Permutation, ell_stats, partial_sums
 from .identities import c_w
 from .mpoly import MPoly, product, table_x
-from .qpoly import IntPoly, QRat, q_power_diff, qpoch
+from .qpoly import Cyclo, IntPoly, QRat, q_power_diff
 
 
 class ClosedEvalError(AssertionError):
@@ -134,14 +134,28 @@ def fs_degree_profile(a, S) -> tuple:
                  for i in range(1, n + 1))
 
 
+def _factored(sign: int, factors, alpha) -> Cyclo:
+    out = Cyclo(sign)
+    for u, v, k in factors:
+        out = out * Cyclo.q_power_diff(alpha[u - 1], alpha[v - 1] + k)
+    return out
+
+
 def eval_factored(sign: int, factors, alpha) -> IntPoly:
     """Evaluate a factored polynomial at x_i = q^{alpha_i}."""
-    out = IntPoly.const(sign)
-    for u, v, k in factors:
-        f = q_power_diff(alpha[u - 1], alpha[v - 1] + k)
-        if f.is_zero:
-            return IntPoly()
-        out = out * f
+    # most grid points hit a vanishing factor: test before multiplying
+    if any(alpha[u - 1] == alpha[v - 1] + k for u, v, k in factors):
+        return IntPoly()
+    return _factored(sign, factors, alpha).expand()
+
+
+def _interpolation_term(sign, factors, grid: Grid, alpha) -> Cyclo:
+    """F(q^alpha) / prod_i phi_i'(q^alpha_i) for a factored F."""
+    out = _factored(sign, factors, alpha)
+    for b_set, a_i in zip(grid.points, alpha):
+        for b in b_set:
+            if b != a_i:
+                out = out / Cyclo.q_power_diff(a_i, b)
     return out
 
 
@@ -202,17 +216,7 @@ def dyson_coeff_interpolated(a, S, rng=None):
     a = tuple(a)
     grid, pi = dyson_grid(a, S, rng)
     sign, factors = fs_factors(a, S)
-    acc = QRat(0)
-    survivors = []
-    for alpha in grid.iter_points():
-        val = eval_factored(sign, factors, alpha)
-        if val.is_zero:
-            continue
-        survivors.append(alpha)
-        den = IntPoly.const(1)
-        for b_set, a_i in zip(grid.points, alpha):
-            den = den * phi_prime(b_set, a_i)
-        acc = acc + QRat(val, den)
+    survivors = scan_survivors(sign, factors, grid)
     if len(survivors) > 1:
         raise AssertionError(f"multiple surviving points: {survivors}")
     if (pi is not None) != (len(survivors) == 1):
@@ -226,7 +230,9 @@ def dyson_coeff_interpolated(a, S, rng=None):
         if survivors[0] != tuple(expected):
             raise AssertionError(
                 f"survivor {survivors[0]} is not at the partial sums {expected}")
-    return acc.expect_intpoly("interpolated Dyson coefficient"), survivors, pi
+    value = (_interpolation_term(sign, factors, grid, survivors[0]).expand()
+             if survivors else IntPoly())
+    return value, survivors, pi
 
 
 # -- the factorised closed evaluation ----------------------------------------------
@@ -278,18 +284,17 @@ def closed_eval(a, w: Permutation) -> IntPoly:
             f"q-power identity failed for a={a}, w={w.word}: "
             f"t_<+t_> = {t_less + t_greater}, sum t_i = {sum(t_phi[1:])}")
 
-    num = IntPoly.const(1)
-    den = IntPoly.const(1)
+    value = Cyclo()
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            num = num * qpoch(1, s[j + 1] - s[i])
-            den = den * IntPoly({0: 1, s[j + 1] - s[i]: -1})
-            den = den * qpoch(1, s[j] - s[i + 1])
+            value = (value * Cyclo.qfactorial(s[j + 1] - s[i])
+                     / Cyclo.one_minus_q(s[j + 1] - s[i])
+                     / Cyclo.qfactorial(s[j] - s[i + 1]))
     for i in range(1, n + 1):
-        den = den * qpoch(1, s[i]) * qpoch(1, total - s[i + 1])
+        value = value / Cyclo.qfactorial(s[i]) / Cyclo.qfactorial(total - s[i + 1])
         for j in range(i + 1, n + 1):
-            num = num * IntPoly({0: 1, s[j + 1] - s[i + 1]: -1})
-    value = QRat(num, den).expect_intpoly("closed evaluation")
+            value = value * Cyclo.one_minus_q(s[j + 1] - s[i + 1])
+    value = value.expand()
     reference = c_w(a, w)
     if value != reference:
         raise ClosedEvalError(
@@ -368,11 +373,5 @@ def sills_coeff_interpolated(a, r: int):
     if survivors[0] != expected:
         raise AssertionError(
             f"survivor {survivors[0]} is not at the partial sums {expected}")
-    acc = QRat(0)
-    for alpha in survivors:
-        val = eval_factored(sign, factors, alpha)
-        den = IntPoly.const(1)
-        for b_set, a_i in zip(grid.points, alpha):
-            den = den * phi_prime(b_set, a_i)
-        acc = acc + QRat(val, den)
-    return acc.expect_intpoly("interpolated Sills coefficient"), survivors
+    value = _interpolation_term(sign, factors, grid, survivors[0]).expand()
+    return value, survivors

@@ -3,9 +3,20 @@
 An IntPoly is a Laurent polynomial in q with arbitrary-precision integer
 coefficients, stored sparsely as {exponent: coefficient}.  No zero
 coefficient is ever stored and the zero polynomial is the empty map, so
-equality is plain structural comparison.
+equality is plain structural comparison.  Its exact division runs in
+integers only and raises NonExactDivision unless the quotient lies in
+Z[q, 1/q].
 
-QRat is the fraction field.  Every QRat is kept in a canonical form:
+The closed forms are ratios of products of (1 - q^k), and a Cyclo holds
+one as sign * q^shift * prod_d Phi_d(q)^m_d over the cyclotomic
+polynomials Phi_d, so that multiplying and dividing add and subtract
+exponents.  It is expanded once, at the end, and an exponent that stays
+negative raises NonExactDivision: that is how a wrong formula shows.
+cyclo_sum adds such ratios over their common cyclotomic denominator.
+
+QRat is the field of quotients, the slow reference route (polynomial
+gcd) kept for the generic interpolation extractor and the tests.  Every
+QRat is kept in a canonical form:
 
   * the denominator is nonzero, has lowest exponent 0 (any q-power shift
     lives in the numerator, which may be Laurent) and positive leading
@@ -13,12 +24,12 @@ QRat is the fraction field.  Every QRat is kept in a canonical form:
   * numerator and denominator share no polynomial factor over the
     rationals and no integer content.
 
-With that convention equality of fractions is again structural.
+With that convention equality of quotients is again structural.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import functools
 
 
 class NonExactDivision(ArithmeticError):
@@ -166,25 +177,34 @@ class IntPoly:
         return r
 
     def exact_div(self, other: "IntPoly") -> "IntPoly":
-        """Exact division; raises NonExactDivision on any remainder."""
+        """Exact division in Z[q, 1/q]; raises NonExactDivision on any
+        remainder or non-integer quotient coefficient."""
         if other.is_zero:
             raise ZeroDivisionError("IntPoly division by zero")
         if self.is_zero:
             return IntPoly()
-        # Shift both to ordinary polynomials; the quotient keeps the offset.
+        # Long division on ordinary polynomials; the quotient keeps the
+        # offset.  A quotient in Z[q] makes every step an integer division.
         sv, ov = self.valuation(), other.valuation()
-        num = _to_dense(self.shifted(-sv))
-        den = _to_dense(other.shifted(-ov))
-        quo, rem = _dense_divmod(num, den)
-        if any(rem):
-            raise NonExactDivision(f"({self}) / ({other}) leaves a remainder")
+        num = [0] * (self.degree() - sv + 1)
+        for e, c in self._c.items():
+            num[e - sv] = c
+        dn = other.degree() - ov
+        lead = other._c[dn + ov]
+        den = [(e - ov, c) for e, c in other._c.items() if e - ov != dn]
         out = {}
-        for e, c in enumerate(quo):
+        for i in range(len(num) - 1, dn - 1, -1):
+            c = num[i]
             if c:
-                if c.denominator != 1:
+                f, r = divmod(c, lead)
+                if r:
                     raise NonExactDivision(
                         f"({self}) / ({other}) has non-integer coefficients")
-                out[e + sv - ov] = c.numerator
+                out[i - dn + sv - ov] = f
+                for j, dc in den:
+                    num[i - dn + j] -= f * dc
+        if any(num[:dn]):
+            raise NonExactDivision(f"({self}) / ({other}) leaves a remainder")
         r = IntPoly.__new__(IntPoly)
         r._c = out
         return r
@@ -270,28 +290,7 @@ ONE = IntPoly.const(1)
 Q = IntPoly.monomial(1, 1)
 
 
-# -- dense helpers for division and gcd -------------------------------------
-
-def _to_dense(p: IntPoly) -> list:
-    d = [0] * (p.degree() + 1)
-    for e, c in p._c.items():
-        d[e] = Fraction(c)
-    return d
-
-
-def _dense_divmod(num, den):
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[dn]
-    quo = [Fraction(0)] * max(len(num) - dn, 0)
-    for i in range(len(num) - 1, dn - 1, -1):
-        f = num[i] / lead
-        if f:
-            quo[i - dn] = f
-            for j, dc in enumerate(den):
-                num[i - dn + j] -= f * dc
-    return quo, num
-
+# -- integer gcd of polynomials (the slow reference route) ----------------------
 
 def _gcd_int(a: int, b: int) -> int:
     a, b = abs(a), abs(b)
@@ -513,31 +512,180 @@ def qpoch(m: int, k: int) -> IntPoly:
 
 def qbinom(n: int, m: int) -> IntPoly:
     """Gaussian binomial coefficient; 0 outside the range 0 <= m <= n."""
-    if m < 0 or m > n:
-        return ZERO
-    num = qpoch(1, n)
-    den = qpoch(1, m) * qpoch(1, n - m)
-    return num.exact_div(den)
+    return Cyclo.qbinom(n, m).expand()
 
 
 def qmultinom(a) -> IntPoly:
-    """q-multinomial coefficient of a composition.
+    """q-multinomial coefficient of a composition (see Cyclo.qmultinom)."""
+    return Cyclo.qmultinom(a).expand()
 
-    Computed both as (q)_{|a|} / prod (q)_{a_i} and as the telescoping
-    product of q-binomials of the partial sums; the two must agree.
+
+# -- cyclotomic products -------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _divisors(k: int) -> tuple:
+    return tuple(d for d in range(1, k + 1) if k % d == 0)
+
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic(d: int) -> IntPoly:
+    """The cyclotomic polynomial Phi_d, built on first use from
+    q^d - 1 = prod_{e | d} Phi_e by exact division (every Phi_e is monic)."""
+    if d < 1:
+        raise ValueError("cyclotomic needs d >= 1")
+    out = IntPoly({0: -1, d: 1})
+    for e in _divisors(d)[:-1]:
+        out = out.exact_div(cyclotomic(e))
+    return out
+
+
+class Cyclo:
+    """sign * q^shift * prod_d Phi_d(q)^mult[d], the exponents in Z.
+
+    Every closed form here is a ratio of products of (1 - q^k), and
+    1 - q^k = -prod_{d | k} Phi_d for k > 0, so such a ratio is a Cyclo:
+    multiplying and dividing add and subtract exponent multisets, and the
+    representation is unique (the Phi_d are distinct irreducibles), so
+    equality is structural.  ``expand`` multiplies out once, at the end,
+    and raises NonExactDivision if some Phi_d keeps a negative exponent,
+    which is how a wrong formula shows.  sign 0 is the zero value.
     """
-    a = tuple(a)
-    if any(x < 0 for x in a):
-        raise ValueError("qmultinom needs nonnegative parts")
-    den = ONE
-    for x in a:
-        den = den * qpoch(1, x)
-    direct = qpoch(1, sum(a)).exact_div(den)
-    sigma = 0
-    prod = ONE
-    for x in a:
-        sigma += x
-        prod = prod * qbinom(sigma, x)
-    if direct != prod:
-        raise AssertionError(f"qmultinom mismatch for a={a}")
-    return direct
+
+    __slots__ = ("sign", "shift", "mult")
+
+    def __init__(self, sign: int = 1, shift: int = 0, mult=None):
+        if sign not in (-1, 0, 1):
+            raise ValueError("Cyclo sign must be -1, 0 or 1")
+        self.sign = sign
+        self.shift = shift if sign else 0
+        self.mult = {d: m for d, m in mult.items() if m} if mult and sign else {}
+
+    # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def one_minus_q(cls, k: int) -> "Cyclo":
+        """1 - q^k: -prod_{d | k} Phi_d for k > 0, q^k prod_{d | -k} Phi_d
+        for k < 0, and zero for k = 0."""
+        if k == 0:
+            return cls(0)
+        if k > 0:
+            return cls(-1, 0, dict.fromkeys(_divisors(k), 1))
+        return cls(1, k, dict.fromkeys(_divisors(-k), 1))
+
+    @classmethod
+    def q_power_diff(cls, e1: int, e2: int) -> "Cyclo":
+        """q^e1 - q^e2 = q^e1 (1 - q^(e2 - e1))."""
+        return cls.one_minus_q(e2 - e1).shifted(e1)
+
+    @classmethod
+    def qfactorial(cls, n: int) -> "Cyclo":
+        """(q)_n = (-1)^n prod_d Phi_d^floor(n/d)."""
+        if n < 0:
+            raise ValueError("qfactorial needs n >= 0")
+        return cls(-1 if n % 2 else 1, 0, {d: n // d for d in range(1, n + 1)})
+
+    @classmethod
+    def qpoch(cls, m: int, k: int) -> "Cyclo":
+        """(q^m)_k = (q)_{m+k-1} / (q)_{m-1} for m >= 1."""
+        if m < 1 or k < 0:
+            raise ValueError("Cyclo.qpoch needs m >= 1 and k >= 0")
+        return cls.qfactorial(m + k - 1) / cls.qfactorial(m - 1)
+
+    @classmethod
+    def qbinom(cls, n: int, m: int) -> "Cyclo":
+        """The Gaussian binomial (q)_n / ((q)_m (q)_{n-m}); zero outside the
+        range 0 <= m <= n."""
+        if m < 0 or m > n:
+            return cls(0)
+        return cls(1, 0, {d: n // d - m // d - (n - m) // d for d in range(1, n + 1)})
+
+    @classmethod
+    def qmultinom(cls, a) -> "Cyclo":
+        """q-multinomial coefficient of a composition.
+
+        Computed both as (q)_{|a|} / prod (q)_{a_i}, whose Phi_d exponent is
+        floor(|a|/d) - sum floor(a_i/d), and as the telescoping product of
+        q-binomials of the partial sums; the two must agree.
+        """
+        a = tuple(a)
+        if any(x < 0 for x in a):
+            raise ValueError("qmultinom needs nonnegative parts")
+        total = sum(a)
+        direct = cls(1, 0, {d: total // d - sum(x // d for x in a)
+                            for d in range(1, total + 1)})
+        sigma = 0
+        telescoped = cls()
+        for x in a:
+            sigma += x
+            telescoped = telescoped * cls.qbinom(sigma, x)
+        if direct != telescoped:
+            raise AssertionError(f"qmultinom mismatch for a={a}")
+        return direct
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def _combine(self, other: "Cyclo", k: int) -> "Cyclo":
+        mult = dict(self.mult)
+        for d, m in other.mult.items():
+            mult[d] = mult.get(d, 0) + k * m
+        return Cyclo(self.sign * other.sign, self.shift + k * other.shift, mult)
+
+    def __mul__(self, other: "Cyclo") -> "Cyclo":
+        return self._combine(other, 1)
+
+    def __truediv__(self, other: "Cyclo") -> "Cyclo":
+        if not other.sign:
+            raise ZeroDivisionError("division by a zero Cyclo")
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "Cyclo":
+        return Cyclo(-self.sign, self.shift, self.mult)
+
+    def shifted(self, k: int) -> "Cyclo":
+        """Multiply by q**k."""
+        return Cyclo(self.sign, self.shift + k, self.mult)
+
+    def __eq__(self, other):
+        if not isinstance(other, Cyclo):
+            return NotImplemented
+        return (self.sign, self.shift, self.mult) == (other.sign, other.shift, other.mult)
+
+    def expand(self) -> IntPoly:
+        """The value as an IntPoly; NonExactDivision if it is not one."""
+        if not self.sign:
+            return IntPoly()
+        left = sorted(d for d, m in self.mult.items() if m < 0)
+        if left:
+            raise NonExactDivision(
+                f"not a polynomial: Phi_d stays in the denominator for d in {left}")
+        out = IntPoly({self.shift: self.sign})
+        for d, m in sorted(self.mult.items()):
+            phi = cyclotomic(d)
+            for _ in range(m):
+                out = out * phi
+        return out
+
+    def __repr__(self):
+        return f"Cyclo({self.sign}, {self.shift}, {dict(sorted(self.mult.items()))})"
+
+
+def cyclo_sum(terms) -> IntPoly:
+    """The sum of Cyclo values, as an IntPoly.
+
+    The terms go over their common denominator prod_d Phi_d^M_d, M_d the
+    largest exponent of Phi_d in any term's denominator: each numerator
+    expands to an integer polynomial, and their sum is divided exactly by
+    the monic denominator.  A remainder (the sum is not a polynomial)
+    raises NonExactDivision.
+    """
+    terms = [t for t in terms if t.sign]
+    den = {}
+    for t in terms:
+        for d, m in t.mult.items():
+            if -m > den.get(d, 0):
+                den[d] = -m
+    common = Cyclo(1, 0, den)
+    num = IntPoly()
+    for t in terms:
+        num = num + (t * common).expand()
+    return num.exact_div(common.expand()) if den else num

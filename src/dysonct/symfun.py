@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .mpoly import MPoly, VarTable, product, table_x
-from .qpoly import IntPoly, QRat, one_minus_q
+from .qpoly import Cyclo, IntPoly
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def hook_content(lam, a: int) -> IntPoly:
 
         q^{sum_j (j-1) la_j} * prod_{cells} (1 - q^{a + content}) / (1 - q^{hook})
 
-    computed as an exact fraction and coerced to a polynomial.
+    computed as a cyclotomic product and expanded to a polynomial.
     """
     lam = tuple(lam)
     while lam and lam[-1] == 0:
@@ -122,16 +122,13 @@ def hook_content(lam, a: int) -> IntPoly:
         return IntPoly.const(1)
     conj = [sum(1 for part in lam if part > c) for c in range(lam[0])]
     shift = sum((r - 1) * lam[r - 1] for r in range(1, len(lam) + 1))
-    num = IntPoly.const(1)
-    den = IntPoly.const(1)
+    value = Cyclo()
     for r, part in enumerate(lam, start=1):
         for c in range(1, part + 1):
             content = c - r
             hook = (part - c) + (conj[c - 1] - r) + 1
-            num = num * one_minus_q(a + content)
-            den = den * one_minus_q(hook)
-    value = QRat(num.shifted(shift), den)
-    return value.expect_intpoly("hook-content product")
+            value = value * Cyclo.one_minus_q(a + content) / Cyclo.one_minus_q(hook)
+    return value.shifted(shift).expand()
 
 
 # -- divided differences and key polynomials -------------------------------------

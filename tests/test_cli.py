@@ -132,6 +132,17 @@ class TestCtCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_t_mode_rejected_outside_tkernel(self, capsys):
+        for kernel, extra in [("dyson", []), ("alternating", []),
+                              ("tournament", ["--edges", "1>2"])]:
+            for mode in ("symbolic", "qa", "zero"):
+                code = main(["ct", kernel, "--a", "1,1", "--v", "0,0",
+                             "--t-mode", mode] + extra)
+                captured = capsys.readouterr()
+                assert code == 2
+                assert captured.out == ""
+                assert "--t-mode" in captured.err
+
     def test_bad_vector_length(self, capsys):
         code = main(["ct", "dyson", "--a", "1,1", "--v", "0,0,0"])
         assert code == 2

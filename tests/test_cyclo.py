@@ -1,0 +1,391 @@
+"""Differential tests of the cyclotomic closed-form route.
+
+Every closed form is built as a ``Cyclo`` (a signed, q-shifted multiset of
+cyclotomic polynomials) and expanded once.  The references below are the
+slow route it replaced: the same formulas over IntPoly numerators and
+denominators, reduced by ``QRat`` (polynomial gcd).  Inputs are seeded
+stdlib ``random`` draws and small exhaustive grids.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from dysonct.combi import (
+    Permutation, all_pairsets, is_strict, partial_sums, reverse, weight,
+)
+from dysonct.identities import (
+    c_w, cyclic_interval, rhs_bg_alternating, rhs_bg_general, rhs_kadell,
+    rhs_kadell_t, rhs_lxz, rhs_sills, rhs_strict, t_monomial,
+    w_sigma,
+)
+from dysonct.interp import (
+    closed_eval, dyson_coeff_interpolated, dyson_grid, eval_factored,
+    fs_factors, phi_prime, sills_coeff_interpolated, sills_factors, sills_grid,
+)
+from dysonct.mpoly import MPoly, table_kernel
+from dysonct.qpoly import (
+    ONE, Cyclo, IntPoly, NonExactDivision, QRat, cyclo_sum, cyclotomic,
+    one_minus_q, q_power_diff, qbinom, qmultinom, qpoch,
+)
+from dysonct.symfun import hook_content
+
+
+# -- the QRat reference route -------------------------------------------------------
+
+def ref_qbinom(n, m):
+    if m < 0 or m > n:
+        return IntPoly()
+    return QRat(qpoch(1, n), qpoch(1, m) * qpoch(1, n - m)).expect_intpoly()
+
+
+def ref_qmultinom(a):
+    den = ONE
+    for x in a:
+        den = den * qpoch(1, x)
+    return QRat(qpoch(1, sum(a)), den).expect_intpoly()
+
+
+def ref_c_w(a, w):
+    num = ref_qmultinom(a)
+    for x in a:
+        num = num * one_minus_q(x)
+    den = ONE
+    for i in range(1, len(a) + 1):
+        den = den * one_minus_q(w_sigma(a, w, i))
+    return QRat(num, den).expect_intpoly()
+
+
+def ref_bg_general(a, index_set):
+    sigma = partial_sums(a)
+    num, den = ref_qmultinom(a), ONE
+    for i in sorted(index_set):
+        num = num * one_minus_q(a[i - 1])
+        den = den * one_minus_q(sigma[i - 1])
+    return QRat(num, den).expect_intpoly()
+
+
+def ref_bg_alternating(a):
+    num, den = ref_qmultinom(a), ONE
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            num = num * q_power_diff(a[i], a[j])
+            den = den * one_minus_q(a[i] + a[j])
+    return QRat(num, den).expect_intpoly()
+
+
+def ref_kadell(v, a):
+    m = weight(v)
+    if sorted(v, reverse=True) != [m] + [0] * (len(v) - 1):
+        return IntPoly()
+    k = v.index(m) + 1
+    total = sum(a)
+    if total == 0 or a[k - 1] == 0:
+        return IntPoly()
+    sigma = partial_sums(a)
+    num = (one_minus_q(a[k - 1]) * qpoch(total, m) * ref_qmultinom(a)).shifted(
+        sigma[-1] - sigma[k - 1])
+    den = one_minus_q(total) * qpoch(total - a[k - 1] + 1, m)
+    return QRat(num, den).expect_intpoly()
+
+
+def ref_kadell_t(k, m, a, table):
+    n = len(a)
+    sigma = partial_sums(a)
+    total = sigma[-1]
+    base_num = qpoch(total, m)
+    for i in range(1, n + 1):
+        base_num = base_num * ref_qbinom(sigma[i - 1] - 1, a[i - 1] - 1)
+    base_den = qpoch(total - a[k - 1] + 1, m)
+    out = MPoly.zero(table)
+    for w in Permutation.all_perms(n):
+        if w(n) != k:
+            continue
+        num, den = base_num, base_den
+        for i in range(1, n + 1):
+            num = num * one_minus_q(sigma[i - 1])
+            den = den * one_minus_q(w_sigma(a, w, i))
+        out = out + t_monomial(table, w.recording_set()) * QRat(num, den).expect_intpoly()
+    return out
+
+
+def ref_strict(lam, a, w):
+    lam_bar = reverse(lam)
+    out = ONE
+    for i in range(1, len(a) + 1):
+        out = out * ref_qbinom(lam_bar[i - 1] + w_sigma(a, w, i) - 1, a[w(i) - 1] - 1)
+    return out.shifted(sum(a[j - 1] for _, j in w.recording_set()))
+
+
+def ref_sills(a, r, s):
+    n = len(a)
+    e_rs = (1 if r < s else 0) + sum(a[i - 1] for i in cyclic_interval(s, r, n))
+    num = -(one_minus_q(a[s - 1]) * ref_qmultinom(a)).shifted(e_rs)
+    return QRat(num, one_minus_q(1 + sum(a) - a[s - 1])).expect_intpoly()
+
+
+def ref_lxz(v, a):
+    n = len(a)
+    prefix = partial_sums(v)
+    index_set = [i for i in range(1, n + 1) if v[i - 1] == 1]
+    total = sum(a)
+    acc = QRat(0)
+    for size in range(len(index_set) + 1):
+        for J in itertools.combinations(index_set, size):
+            aJ = sum(a[j - 1] for j in J)
+            if aJ == 0:
+                continue
+            eJ = sum(prefix[j - 1] * a[j - 1] for j in range(1, n + 1) if j not in J)
+            sign = -1 if size % 2 else 1
+            acc = acc + QRat(one_minus_q(aJ).shifted(eJ) * sign,
+                             one_minus_q(1 + total - aJ))
+    return (acc * ref_qmultinom(a)).expect_intpoly()
+
+
+def ref_hook_content(lam, a):
+    lam = tuple(x for x in lam if x)
+    if not lam:
+        return ONE
+    conj = [sum(1 for part in lam if part > c) for c in range(lam[0])]
+    shift = sum((r - 1) * lam[r - 1] for r in range(1, len(lam) + 1))
+    num, den = ONE, ONE
+    for r, part in enumerate(lam, start=1):
+        for c in range(1, part + 1):
+            num = num * one_minus_q(a + c - r)
+            den = den * one_minus_q((part - c) + (conj[c - 1] - r) + 1)
+    return QRat(num.shifted(shift), den).expect_intpoly()
+
+
+def ref_closed_eval(a, w):
+    n = len(a)
+    s = [0] * (n + 2)
+    for i in range(1, n + 1):
+        s[i + 1] = s[i] + a[w(i) - 1]
+    total = s[n + 1]
+    num, den = ONE, ONE
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            num = num * qpoch(1, s[j + 1] - s[i])
+            den = den * one_minus_q(s[j + 1] - s[i]) * qpoch(1, s[j] - s[i + 1])
+    for i in range(1, n + 1):
+        den = den * qpoch(1, s[i]) * qpoch(1, total - s[i + 1])
+        for j in range(i + 1, n + 1):
+            num = num * one_minus_q(s[j + 1] - s[i + 1])
+    return QRat(num, den).expect_intpoly()
+
+
+def ref_eval_factored(sign, factors, alpha):
+    out = IntPoly.const(sign)
+    for u, v, k in factors:
+        out = out * q_power_diff(alpha[u - 1], alpha[v - 1] + k)
+    return out
+
+
+def ref_interpolated(sign, factors, grid):
+    acc = QRat(0)
+    for alpha in grid.iter_points():
+        val = ref_eval_factored(sign, factors, alpha)
+        if val.is_zero:
+            continue
+        den = ONE
+        for b_set, a_i in zip(grid.points, alpha):
+            den = den * phi_prime(b_set, a_i)
+        acc = acc + QRat(val, den)
+    return acc.expect_intpoly()
+
+
+# -- the Cyclo primitives -----------------------------------------------------------
+
+def _random_factor(rng):
+    """A (1 - q^k) or q^a - q^b factor, as (IntPoly, Cyclo)."""
+    if rng.random() < 0.5:
+        k = rng.randrange(-6, 13)
+        return one_minus_q(k), Cyclo.one_minus_q(k)
+    e1, e2 = rng.randrange(-4, 9), rng.randrange(-4, 9)
+    return q_power_diff(e1, e2), Cyclo.q_power_diff(e1, e2)
+
+
+def _random_ratio(rng, zero_ok=False):
+    """(num, den, Cyclo) of a random ratio of such factors, den nonzero."""
+    num, den, cyc = ONE, ONE, Cyclo()
+    for _ in range(rng.randrange(0, 7)):
+        p, c = _random_factor(rng)
+        if p.is_zero and not zero_ok:
+            continue
+        num, cyc = num * p, cyc * c
+    for _ in range(rng.randrange(0, 5)):
+        p, c = _random_factor(rng)
+        if p.is_zero:
+            continue
+        den, cyc = den * p, cyc / c
+    return num, den, cyc
+
+
+class TestCyclotomic:
+    def test_divisor_products_give_q_k_minus_one(self):
+        for k in range(1, 31):
+            prod = ONE
+            for d in range(1, k + 1):
+                if k % d == 0:
+                    prod = prod * cyclotomic(d)
+            assert prod == IntPoly({0: -1, k: 1})
+
+    def test_one_minus_q_and_power_diff_expand(self):
+        for k in range(-12, 13):
+            assert Cyclo.one_minus_q(k).expand() == one_minus_q(k)
+        for e1 in range(-5, 6):
+            for e2 in range(-5, 6):
+                assert Cyclo.q_power_diff(e1, e2).expand() == q_power_diff(e1, e2)
+
+    def test_q_factorials(self):
+        for m in range(1, 6):
+            for k in range(6):
+                assert Cyclo.qpoch(m, k).expand() == qpoch(m, k)
+        for n in range(-1, 12):
+            for m in range(-1, n + 2):
+                assert qbinom(n, m) == ref_qbinom(n, m)
+
+    def test_qmultinom_all_small_compositions(self):
+        for n in range(1, 5):
+            for a in itertools.product(range(5), repeat=n):
+                if sum(a) <= 8:
+                    assert qmultinom(a) == ref_qmultinom(a)
+
+    def test_random_ratios_match_qrat(self):
+        rng = random.Random(2024)
+        polynomial = 0
+        for _ in range(400):
+            num, den, cyc = _random_ratio(rng, zero_ok=True)
+            want = QRat(num, den).as_intpoly()
+            if want is None:
+                with pytest.raises(NonExactDivision):
+                    cyc.expand()
+            else:
+                polynomial += 1
+                assert cyc.expand() == want
+        assert 50 < polynomial < 350  # both outcomes are exercised
+
+    def test_equality_is_value_equality(self):
+        # (1 - q^2) / (1 - q) = 1 + q, reached two ways
+        left = Cyclo.one_minus_q(2) / Cyclo.one_minus_q(1)
+        assert left == Cyclo(1, 0, {2: 1})
+        assert left.expand() == IntPoly({0: 1, 1: 1})
+        assert Cyclo.one_minus_q(0) == Cyclo(0) == Cyclo(0, 5, {3: 1})
+        with pytest.raises(ZeroDivisionError):
+            Cyclo() / Cyclo.one_minus_q(0)
+
+    def test_wrong_formula_raises(self):
+        for a in [(1, 1), (2, 1), (2, 2, 1), (1, 0, 3)]:
+            wrong = Cyclo.qmultinom(a) / Cyclo.one_minus_q(sum(a) + 1)
+            with pytest.raises(NonExactDivision):
+                wrong.expand()
+            assert QRat(qmultinom(a), one_minus_q(sum(a) + 1)).as_intpoly() is None
+
+
+class TestCycloSum:
+    def test_random_sums_match_qrat(self):
+        rng = random.Random(77)
+        polynomial = 0
+        for _ in range(150):
+            parts = [_random_ratio(rng) for _ in range(rng.randrange(0, 4))]
+            want = QRat(0)
+            for num, den, _ in parts:
+                want = want + QRat(num, den)
+            want = want.as_intpoly()
+            terms = [cyc for _, _, cyc in parts]
+            if want is None:
+                with pytest.raises(NonExactDivision):
+                    cyclo_sum(terms)
+            else:
+                polynomial += 1
+                assert cyclo_sum(terms) == want
+        assert 20 < polynomial < 130
+
+    def test_non_polynomial_terms_cancel(self):
+        # 1/(1 - q) - q/(1 - q) = 1, although neither term is a polynomial
+        terms = [Cyclo() / Cyclo.one_minus_q(1),
+                 -(Cyclo() / Cyclo.one_minus_q(1)).shifted(1)]
+        assert cyclo_sum(terms) == ONE
+        with pytest.raises(NonExactDivision):
+            cyclo_sum(terms[:1])
+        assert cyclo_sum([]) == IntPoly()
+
+
+# -- every rerouted closed form against its QRat formula ----------------------------
+
+class TestRerouted:
+    def test_c_w_and_closed_eval(self):
+        for n in (1, 2, 3):
+            for a in itertools.product((1, 2, 3), repeat=n):
+                for w in Permutation.all_perms(n):
+                    assert c_w(a, w) == ref_c_w(a, w)
+                    assert closed_eval(a, w) == ref_closed_eval(a, w)
+
+    def test_bressoud_goulden(self):
+        for n in (2, 3):
+            for a in itertools.product((1, 2, 3), repeat=n):
+                assert rhs_bg_alternating(a) == ref_bg_alternating(a)
+                for size in range(n + 1):
+                    for index_set in itertools.combinations(range(1, n + 1), size):
+                        assert (rhs_bg_general(a, set(index_set))
+                                == ref_bg_general(a, index_set))
+
+    def test_kadell(self):
+        for n in (1, 2, 3):
+            for a in itertools.product(range(3), repeat=n):
+                for v in itertools.product(range(3), repeat=n):
+                    if weight(v) >= 1:
+                        assert rhs_kadell(v, a) == ref_kadell(v, a)
+
+    def test_kadell_t(self):
+        for n in (2, 3):
+            table = table_kernel(n)
+            for a in itertools.product((1, 2), repeat=n):
+                for k in range(1, n + 1):
+                    for m in (1, 2):
+                        assert (rhs_kadell_t(k, m, a, table)
+                                == ref_kadell_t(k, m, a, table))
+
+    def test_strict(self):
+        for n in (2, 3):
+            for lam in itertools.product(range(4), repeat=n):
+                if not is_strict(lam) or list(lam) != sorted(lam, reverse=True):
+                    continue
+                for a in itertools.product((1, 2), repeat=n):
+                    for w in Permutation.all_perms(n):
+                        assert rhs_strict(lam, a, w) == ref_strict(lam, a, w)
+
+    def test_sills_and_lxz(self):
+        for n in (2, 3):
+            for a in itertools.product(range(3), repeat=n):
+                for r in range(1, n + 1):
+                    for s in range(1, n + 1):
+                        if r != s:
+                            assert rhs_sills(a, r, s) == ref_sills(a, r, s)
+                for tail in itertools.product((-1, 0, 1), repeat=n - 1):
+                    v = (1,) + tail
+                    if weight(v) == 0:
+                        assert rhs_lxz(v, a) == ref_lxz(v, a)
+
+    def test_hook_content(self):
+        for lam in [(1,), (2,), (1, 1), (2, 1), (3, 1), (2, 2), (3, 2, 1), (4,)]:
+            for a in range(5):
+                assert hook_content(lam, a) == ref_hook_content(lam, a)
+
+    def test_eval_factored(self):
+        a = (2, 1, 1)
+        sign, factors = fs_factors(a, frozenset({(1, 2)}))
+        for alpha in itertools.product(range(4), repeat=3):
+            assert eval_factored(sign, factors, alpha) == \
+                ref_eval_factored(sign, factors, alpha)
+
+    def test_interpolation_accumulators(self):
+        for a in [(1, 1, 1), (2, 1, 1), (1, 2, 2)]:
+            for S in all_pairsets(3):
+                grid, _ = dyson_grid(a, S, random.Random(0))
+                value, _, _ = dyson_coeff_interpolated(a, S, random.Random(0))
+                assert value == ref_interpolated(*fs_factors(a, S), grid)
+            for r in (2, 3):
+                value, _ = sills_coeff_interpolated(a, r)
+                assert value == ref_interpolated(*sills_factors(a), sills_grid(a, r))

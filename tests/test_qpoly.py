@@ -107,10 +107,20 @@ class TestIntPolyArith:
         num = IntPoly({0: 1, 2: -1})
         den = IntPoly({0: 1, 1: -1})
         assert num.exact_div(den) == IntPoly({0: 1, 1: 1})
+        # non-monic divisors and Laurent offsets
+        assert P(e0=2, e1=2).exact_div(P(e0=2)) == P(e0=1, e1=1)
+        assert P(e0=6, e1=-2, e2=-4).exact_div(P(e0=2, e1=-2)) == P(e0=3, e1=2)
+        assert IntPoly({-3: 4, -1: -4}).exact_div(IntPoly({2: 2})) == \
+            IntPoly({-5: 2, -3: -2})
 
     def test_exact_div_remainder_raises(self):
-        with pytest.raises(NonExactDivision):
-            IntPoly({0: 1, 2: 1}).exact_div(IntPoly({0: 1, 1: 1}))
+        for num, den in [(P(e0=1, e2=1), P(e0=1, e1=1)),
+                         (P(e0=1, e1=1), P(e0=2)),
+                         (P(e0=1, e2=1), P(e0=2, e1=2)),
+                         (P(e0=1), P(e0=1, e1=1)),
+                         (P(e0=3, e1=3), P(e0=2, e1=2))]:
+            with pytest.raises(NonExactDivision):
+                num.exact_div(den)
 
     def test_gcd(self):
         a = qpoch(1, 3)
