@@ -6,8 +6,12 @@ case, buffered so the output order never depends on scheduling.  ``ct``
 prints a single kernel coefficient.  ``list`` names the known identities.
 
 Exit status: 0 when every case agreed, 1 on any mismatch, 2 on usage
-errors.  Timed-out cases (with --budget-ms) are reported with a distinct
-status and do not count as mismatches.
+errors, which include a grid bound or budget out of range (--n below 1,
+--a-max, --m-max or --sum-max below 0, --jobs or DYSONCT_JOBS below 1,
+--budget-ms below 1).  Timed-out cases (with --budget-ms) are reported
+with a distinct status and do not count as mismatches.  After the
+reports, ``verify`` writes one summary line on stderr: the PASS, FAIL,
+ERROR and TIMEOUT counts, the total wall time and the slowest case.
 
 The text format is byte-deterministic for a fixed configuration and seed,
 independent of --jobs.  The json format additionally carries the per-case
@@ -37,7 +41,7 @@ from .interp import (
 )
 from .mpoly import (
     MPoly, dyson_kernel, table_x, tkernel, tournament_kernel,
-    bg_alternating_kernel, tzero_kernel,
+    bg_alternating_kernel,
 )
 from .qpoly import IntPoly
 from .symfun import key_poly, keyhat_poly, scalar_product, schur_principal
@@ -301,7 +305,8 @@ def _run_interp_dyson(p):
         d_in[j] += 1
         e_out[i] += 1
     v = tuple(e_out[i] - d_in[i] for i in range(1, n + 1))
-    brute = tzero_kernel(a).coeff_x(v).to_intpoly() * ((-1) ** len(S))
+    brute = (ids.cached_kernel("tzero", a).coeff_x(v).to_intpoly()
+             * ((-1) ** len(S)))
     _, _, _, K = ell_stats(S, n)
     lhs = str(value)
     if (K == n) != (not value.is_zero):
@@ -524,12 +529,33 @@ def run(config: RunConfig):
     return (1 if bad else 0), records
 
 
-def _record_text_line(r):
+def _record_case(r):
     params = " ".join(f"{k}={v}" for k, v in sorted(r["params"].items()))
+    return f"{r['identity']} {params}"
+
+
+def _record_text_line(r):
     if r["status"] == "timeout":
-        return f"TIMEOUT {r['identity']} {params}"
+        return f"TIMEOUT {_record_case(r)}"
     status = "PASS" if r["equal"] else "FAIL"
-    return f"{status} {r['identity']} {params} | lhs={r['lhs']} rhs={r['rhs']}"
+    return f"{status} {_record_case(r)} | lhs={r['lhs']} rhs={r['rhs']}"
+
+
+def _summary_line(records, wall_s):
+    """PASS/FAIL/ERROR/TIMEOUT counts, total wall and the slowest case."""
+    counts = dict.fromkeys(("PASS", "FAIL", "ERROR", "TIMEOUT"), 0)
+    for r in records:
+        if r["status"] != "ok":
+            counts[r["status"].upper()] += 1
+        else:
+            counts["PASS" if r["equal"] else "FAIL"] += 1
+    line = "summary: " + ", ".join(f"{c} {k}" for k, c in counts.items())
+    line += f"; wall {wall_s:.3f} s"
+    timed = [r for r in records if r["millis"] is not None]
+    if timed:
+        slow = max(timed, key=lambda r: r["millis"])
+        line += f"; slowest {_record_case(slow)} ({slow['millis']} ms)"
+    return line
 
 
 def _emit(records, fmt, out):
@@ -641,14 +667,31 @@ def main(argv=None) -> int:
             for name in sorted(REGISTRY):
                 print(f"  {name}", file=sys.stderr)
             return 2
-        jobs = args.jobs
+        jobs, jobs_source = args.jobs, "--jobs"
         if jobs is None:
-            jobs = int(os.environ.get(JOBS_ENV, "1"))
+            jobs_source = JOBS_ENV
+            try:
+                jobs = int(os.environ.get(JOBS_ENV, "1"))
+            except ValueError:
+                print(f"{JOBS_ENV} must be an integer, got "
+                      f"{os.environ[JOBS_ENV]!r}", file=sys.stderr)
+                return 2
+        for name, value, low in [
+                ("--n", args.n, 1), ("--a-max", args.a_max, 0),
+                ("--m-max", args.m_max, 0), ("--sum-max", args.sum_max, 0),
+                (jobs_source, jobs, 1), ("--budget-ms", args.budget_ms, 1)]:
+            if value is not None and value < low:
+                print(f"{name} must be at least {low}, got {value}",
+                      file=sys.stderr)
+                return 2
         config = RunConfig(identity=args.identity, n=args.n, a_max=args.a_max,
                            m_max=args.m_max, jobs=jobs, seed=args.seed,
                            budget_ms=args.budget_ms, sum_max=args.sum_max)
+        start = time.perf_counter()
         code, records = run(config)
         _emit(records, args.format, out)
+        print(_summary_line(records, time.perf_counter() - start),
+              file=sys.stderr)
         return code
     parser.print_usage(sys.stderr)
     return 2

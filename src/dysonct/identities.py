@@ -29,7 +29,7 @@ from .combi import (
 from .mpoly import (
     Kernel, MPoly, VarTable, bg_alternating_kernel, bg_kernel, dyson_kernel,
     mul_coeff_x, product, table_kernel, table_u, table_x, tau_kernel,
-    tkernel, tournament_kernel,
+    tkernel, tournament_kernel, tzero_kernel,
 )
 from .qpoly import Cyclo, IntPoly, cyclo_sum, qbinom, qmultinom
 from .symfun import schur_principal
@@ -442,9 +442,12 @@ def rhs_lxz(v, a) -> IntPoly:
 
 
 @functools.lru_cache(maxsize=4)
-def _dyson_kernel_cached(a: tuple) -> Kernel:
-    # consecutive coefficient extractions share one pair of expanded halves
-    return dyson_kernel(a)
+def cached_kernel(family: str, a: tuple) -> Kernel:
+    """``dyson_kernel(a)`` or ``tzero_kernel(a)``, kept for the consecutive
+    coefficient extractions of a grid enumerated by ``a``."""
+    # looked up at call time, so a wrapper installed over a builder sees
+    # every real build
+    return {"dyson": dyson_kernel, "tzero": tzero_kernel}[family](a)
 
 
 def sills_lhs(a, r: int, s: int) -> IntPoly:
@@ -452,12 +455,12 @@ def sills_lhs(a, r: int, s: int) -> IntPoly:
     a = tuple(a)
     v = tuple((1 if i == s else 0) - (1 if i == r else 0)
               for i in range(1, len(a) + 1))
-    return _dyson_kernel_cached(a).coeff_x(v).to_intpoly()
+    return cached_kernel("dyson", a).coeff_x(v).to_intpoly()
 
 
 def lxz_lhs(v, a) -> IntPoly:
     """CT[x^{-v} * Dyson kernel] by brute force (v may have negatives)."""
-    return _dyson_kernel_cached(tuple(a)).coeff_x(v).to_intpoly()
+    return cached_kernel("dyson", tuple(a)).coeff_x(v).to_intpoly()
 
 
 # -- symmetry and reduction cross-checks -----------------------------------------------

@@ -9,8 +9,10 @@ powers of q, so every evaluation stays inside exact q-arithmetic.
 On top of the generic extractor sit the two bespoke grids: one that makes
 at most a single point of the Poincare-deformed Dyson coefficient survive
 (and exactly one precisely when the pair set is a recording set), and one
-for the near-constant-term coefficient of the plain Dyson product.  The
-closed evaluation pipeline reproduces the surviving value through
+for the near-constant-term coefficient of the plain Dyson product.  Both
+find their survivors with ``scan_survivors``, a depth-first search that
+visits only the points no factor (x_u - x_v q^k) annihilates, instead of
+every point of the grid.  The closed evaluation pipeline reproduces the surviving value through
 factorised q-factorial products, checking the sign and q-power bookkeeping
 identities along the way.
 """
@@ -348,11 +350,39 @@ def sills_grid(a, r: int, keep_excluded: bool = False) -> Grid:
 
 
 def scan_survivors(sign, factors, grid: Grid):
-    """Grid points where the factored polynomial does not vanish."""
+    """Grid points where the factored polynomial does not vanish, in the
+    order of ``grid.iter_points()``.
+
+    A depth-first search over x_1..x_n: the factor (x_u - x_v q^k) kills
+    every point with alpha_u = alpha_v + k, so once the earlier of u, v is
+    fixed it forbids one value of the later one.  Each level tries only
+    the grid values its fixed prefix leaves open, and every complete
+    candidate is still confirmed by ``eval_factored`` (which alone sees a
+    factor with u = v).
+    """
+    n = grid.n
+    forbidden = [[] for _ in range(n)]  # i -> (j < i, k): alpha_i = alpha_j + k kills F
+    for u, v, k in factors:
+        if u > v:
+            forbidden[u - 1].append((v - 1, k))
+        elif u < v:
+            forbidden[v - 1].append((u - 1, -k))
     out = []
-    for alpha in grid.iter_points():
-        if not eval_factored(sign, factors, alpha).is_zero:
-            out.append(alpha)
+    alpha = [0] * n
+
+    def extend(i):
+        if i == n:
+            point = tuple(alpha)
+            if not eval_factored(sign, factors, point).is_zero:
+                out.append(point)
+            return
+        banned = {alpha[j] + k for j, k in forbidden[i]}
+        for b in grid.points[i]:
+            if b not in banned:
+                alpha[i] = b
+                extend(i + 1)
+
+    extend(0)
     return out
 
 

@@ -5,6 +5,7 @@ import time
 import pytest
 
 import dysonct.cli as cli
+import dysonct.identities as identities
 from dysonct.cli import RunConfig, main, run
 from dysonct.identities import VerifyReport
 
@@ -55,6 +56,96 @@ class TestVerifyCommand:
         assert seen == sorted(seen)
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("flags", [
+        ["--n", "-1"], ["--n", "0"], ["--a-max", "-1"], ["--m-max", "-1"],
+        ["--sum-max", "-3"], ["--jobs", "-2"], ["--jobs", "0"],
+        ["--budget-ms", "-5"], ["--budget-ms", "0"],
+    ])
+    def test_out_of_range_flag_exits_2(self, flags, capsys):
+        code = main(["verify", "q-dyson"] + flags)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert flags[0] in captured.err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
+    def test_bad_jobs_environment_exits_2(self, value, monkeypatch, capsys):
+        monkeypatch.setenv(cli.JOBS_ENV, value)
+        code = main(["verify", "q-dyson", "--n", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert cli.JOBS_ENV in captured.err
+
+    def test_zero_bounds_are_valid(self, capsys):
+        code = main(["verify", "q-dyson", "--n", "1", "--a-max", "0",
+                     "--m-max", "0", "--sum-max", "0", "--jobs", "1",
+                     "--budget-ms", "60000"])
+        assert code == 0
+        assert capsys.readouterr().out == "PASS q-dyson a=[0] | lhs=1 rhs=1\n"
+
+
+class TestSummary:
+    def test_summary_line_on_stderr(self, capsys):
+        code = main(["verify", "q-dyson", "--n", "2", "--a-max", "2"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert len(captured.out.splitlines()) == 9
+        assert "summary" not in captured.out
+        (line,) = captured.err.splitlines()
+        assert line.startswith("summary: 9 PASS, 0 FAIL, 0 ERROR, 0 TIMEOUT; "
+                               "wall ")
+        assert "; slowest q-dyson a=[" in line and line.endswith(" ms)")
+
+    def test_summary_counts_each_status(self):
+        records = [
+            {"identity": "x", "params": {"a": 1}, "equal": True,
+             "millis": 3, "status": "ok"},
+            {"identity": "x", "params": {"a": 2}, "equal": False,
+             "millis": 7, "status": "ok"},
+            {"identity": "x", "params": {"a": 3}, "equal": False,
+             "millis": None, "status": "error"},
+            {"identity": "x", "params": {"a": 4}, "equal": None,
+             "millis": None, "status": "timeout"},
+        ]
+        assert cli._summary_line(records, 1.5) == (
+            "summary: 1 PASS, 1 FAIL, 1 ERROR, 1 TIMEOUT; wall 1.500 s; "
+            "slowest x a=2 (7 ms)")
+        assert cli._summary_line(records[3:], 0.25) == (
+            "summary: 0 PASS, 0 FAIL, 0 ERROR, 1 TIMEOUT; wall 0.250 s")
+
+
+class TestKernelCache:
+    def test_interp_dyson_builds_one_kernel_per_a(self, monkeypatch):
+        config = RunConfig("interp-dyson", n=4, a_max=2, sum_max=7, seed=5)
+        strip = lambda r: {k: v for k, v in r.items() if k != "millis"}
+        builds = []
+        builder = identities.tzero_kernel
+
+        def counting(a, *args, **kwargs):
+            builds.append(tuple(a))
+            return builder(a, *args, **kwargs)
+
+        identities.cached_kernel.cache_clear()
+        monkeypatch.setattr(identities, "tzero_kernel", counting)
+        try:
+            code, cached = run(config)
+        finally:
+            identities.cached_kernel.cache_clear()
+        distinct = {tuple(r["params"]["a"]) for r in cached}
+        assert code == 0
+        assert sorted(builds) == sorted(distinct)
+        assert len(cached) == 30 * len(distinct)
+
+        monkeypatch.setattr(identities, "cached_kernel",
+                            lambda family, a: builder(a))
+        _, uncached = run(config)
+        assert [strip(r) for r in cached] == [strip(r) for r in uncached]
+
+
 class TestParallelism:
     def test_results_independent_of_jobs(self):
         code1, seq = run(RunConfig("q-dyson", n=2, a_max=2, jobs=1))
@@ -63,10 +154,22 @@ class TestParallelism:
         strip = lambda r: {k: v for k, v in r.items() if k != "millis"}
         assert [strip(r) for r in seq] == [strip(r) for r in par]
 
-    def test_budget_timeout_status(self):
-        code, records = run(RunConfig("poincare", n=3, a_max=1, budget_ms=1))
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched runner reaches workers by fork")
+    def test_budget_timeout_status(self, monkeypatch):
+        # every case needs far more than its budget; a real grid cannot
+        # promise that for a 1 ms budget (poincare a=(1,1,1) takes about 1 ms)
+        def enum(cfg):
+            return [{"case": i} for i in range(3)]
+
+        def sleepy(p):
+            time.sleep(5.0)
+            return VerifyReport("sleepy", p, "1", "1", True, 0)
+
+        monkeypatch.setitem(cli.REGISTRY, "sleepy", (enum, sleepy))
+        code, records = run(RunConfig("sleepy", budget_ms=1))
         assert code == 0  # timeouts are not mismatches
-        assert all(r["status"] == "timeout" for r in records)
+        assert [r["status"] for r in records] == ["timeout"] * 3
 
     def test_budget_large_enough_completes(self):
         code, records = run(RunConfig("q-dyson", n=2, a_max=1,

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import dysonct.interp as interp
 from dysonct.combi import (
     Permutation, all_pairsets, ell_stats, pairset_to_perm,
 )
@@ -200,3 +201,72 @@ class TestSillsGrid:
         # with the exclusion only the identity-ordered point remains
         grid = sills_grid(a, 3)
         assert scan_survivors(sign, factors, grid) == [(0, 1, 2)]
+
+
+def _scan_every_point(sign, factors, grid):
+    """The full-grid reference for ``scan_survivors``."""
+    return [alpha for alpha in itertools.product(*grid.points)
+            if not eval_factored(sign, factors, alpha).is_zero]
+
+
+@pytest.fixture
+def confirmed(monkeypatch):
+    """The points ``scan_survivors`` hands to ``eval_factored``."""
+    points = []
+
+    def counting(sign, factors, alpha):
+        points.append(alpha)
+        return eval_factored(sign, factors, alpha)
+
+    monkeypatch.setattr(interp, "eval_factored", counting)
+    return points
+
+
+def _check_scan(sign, factors, grid, confirmed):
+    confirmed.clear()
+    got = scan_survivors(sign, factors, grid)
+    assert got == _scan_every_point(sign, factors, grid)
+    # the search never reaches a point that a factor annihilates
+    assert confirmed == got
+
+
+class TestPrunedScan:
+    """The pruned survivor search against a test of every grid point."""
+
+    def test_every_dyson_grid_up_to_n3(self, confirmed):
+        for n in (1, 2, 3):
+            for a in itertools.product((1, 2), repeat=n):
+                for S in all_pairsets(n):
+                    grid, _ = dyson_grid(a, S)
+                    _check_scan(*fs_factors(a, S), grid, confirmed)
+
+    def test_sampled_dyson_grids_n4(self, confirmed):
+        rng = random.Random(7)
+        pairsets = sorted(all_pairsets(4), key=sorted)
+        for a in itertools.product((1, 2), repeat=4):
+            for S in rng.sample(pairsets, 4):
+                grid, _ = dyson_grid(a, S, rng)
+                _check_scan(*fs_factors(a, S), grid, confirmed)
+
+    def test_every_sills_grid_up_to_n4(self, confirmed):
+        for n in (2, 3, 4):
+            for r in range(2, n + 1):
+                for a in itertools.product((0, 1, 2), repeat=n):
+                    if any(x < 1 for i, x in enumerate(a, 1) if i != r):
+                        continue
+                    for keep in (False, True):
+                        grid = sills_grid(a, r, keep_excluded=keep)
+                        _check_scan(*sills_factors(a), grid, confirmed)
+
+    def test_unsorted_grid_keeps_product_order(self, confirmed):
+        grid = Grid(((5, 2, 0), (3, 0, 6, 1)))
+        _check_scan(1, [(2, 1, 0), (1, 2, 1)], grid, confirmed)
+        assert len(confirmed) > 1
+
+    def test_factor_in_one_variable(self):
+        # x_u - x_u q^k prunes nothing; eval_factored alone rejects k = 0
+        grid = Grid(((0, 1, 2), (0, 1)))
+        assert scan_survivors(1, [(1, 1, 0)], grid) == []
+        factors = [(1, 1, 2), (2, 1, 0)]
+        assert scan_survivors(1, factors, grid) == \
+            _scan_every_point(1, factors, grid)
