@@ -2,16 +2,19 @@
 
 ``verify <identity>`` enumerates a parameter grid in lexicographic order,
 runs the corresponding checker on every tuple and streams one report per
-case, buffered so the output order never depends on scheduling.  ``ct``
-prints a single kernel coefficient.  ``list`` names the known identities.
+case, buffered so the output order never depends on scheduling.  With one
+job and no budget the cases run in this process, otherwise on at most
+--jobs reusable worker processes.  Under --budget-ms each case is timed
+from when its worker receives it; a worker that overruns is killed, its
+case reported as TIMEOUT, and replaced.  ``ct`` prints a single kernel
+coefficient.  ``list`` names the known identities.
 
-Exit status: 0 when every case agreed, 1 on any mismatch, 2 on usage
-errors, which include a grid bound or budget out of range (--n below 1,
---a-max, --m-max or --sum-max below 0, --jobs or DYSONCT_JOBS below 1,
---budget-ms below 1).  Timed-out cases (with --budget-ms) are reported
-with a distinct status and do not count as mismatches.  After the
-reports, ``verify`` writes one summary line on stderr: the PASS, FAIL,
-ERROR and TIMEOUT counts, the total wall time and the slowest case.
+Exit status: 0 when every case agreed or timed out, 1 on any mismatch or
+failed case, 2 on usage errors, which include a grid bound or budget out
+of range (--n below 1, --a-max, --m-max or --sum-max below 0, --jobs or
+DYSONCT_JOBS below 1, --budget-ms below 1).  After the reports, ``verify``
+writes one summary line on stderr: the PASS, FAIL, ERROR and TIMEOUT
+counts, the total wall time and the slowest case.
 
 The text format is byte-deterministic for a fixed configuration and seed,
 independent of --jobs.  The json format additionally carries the per-case
@@ -298,16 +301,11 @@ def _run_interp_dyson(p):
     a = tuple(p["a"])
     S = frozenset(map(tuple, p["S"]))
     n = len(a)
-    value, _, pi = dyson_coeff_interpolated(a, S)
-    d_in = [0] * (n + 1)
-    e_out = [0] * (n + 1)
-    for i, j in S:
-        d_in[j] += 1
-        e_out[i] += 1
-    v = tuple(e_out[i] - d_in[i] for i in range(1, n + 1))
+    value, _, _ = dyson_coeff_interpolated(a, S)
+    d_in, e_out, _, K = ell_stats(S, n)
+    v = tuple(e - d for e, d in zip(e_out, d_in))
     brute = (ids.cached_kernel("tzero", a).coeff_x(v).to_intpoly()
              * ((-1) ** len(S)))
-    _, _, _, K = ell_stats(S, n)
     lhs = str(value)
     if (K == n) != (not value.is_zero):
         lhs += " [K-dichotomy violated]"
@@ -326,13 +324,12 @@ def _run_interp_closed(p):
     start = time.perf_counter()
     a = tuple(p["a"])
     w = Permutation.parse(p["w"])
+    rhs = str(ids.c_w(a, w))
     try:
-        value = closed_eval(a, w)
+        lhs = str(closed_eval(a, w))
     except AssertionError as exc:
-        return ids._report("interp-closed", dict(p), f"error: {exc}",
-                           str(ids.c_w(a, w)), start)
-    return ids._report("interp-closed", dict(p), str(value),
-                       str(ids.c_w(a, w)), start)
+        lhs = f"error: {exc}"
+    return ids._report("interp-closed", dict(p), lhs, rhs, start)
 
 
 def _enum_interp_sills(cfg):
@@ -439,74 +436,81 @@ REGISTRY = {
 
 # -- execution ----------------------------------------------------------------------
 
-def _execute(task):
-    identity, params_json = task
-    params = json.loads(params_json)
+def _record(identity, params, status, lhs="", rhs="", equal=None, millis=None):
+    """One case's record; ``status`` is ``ok``, ``error`` or ``timeout``."""
+    return {"identity": identity, "params": params, "lhs": lhs, "rhs": rhs,
+            "equal": equal, "millis": millis, "status": status}
+
+
+def _execute(identity, params):
     try:
-        report = REGISTRY[identity][1](params)
+        r = REGISTRY[identity][1](params)
     except Exception as exc:  # an internal assertion is a failed case
-        return {"identity": identity, "params": params,
-                "lhs": f"error: {exc}", "rhs": "", "equal": False,
-                "millis": None, "status": "error"}
-    return {"identity": report.identity, "params": report.params,
-            "lhs": report.lhs, "rhs": report.rhs, "equal": report.equal,
-            "millis": report.millis, "status": "ok"}
+        return _record(identity, params, "error", f"error: {exc}", equal=False)
+    return _record(r.identity, r.params, "ok", r.lhs, r.rhs, r.equal, r.millis)
 
 
-def _unfinished_record(task, status):
-    identity, params_json = task
-    return {"identity": identity, "params": json.loads(params_json),
-            "lhs": "", "rhs": "", "equal": None, "millis": None,
-            "status": status}
+def _worker(conn):
+    for task in iter(conn.recv, None):
+        conn.send(_execute(*task))
 
 
-def _budget_worker(task, conn):
-    conn.send(_execute(task))
-    conn.close()
-
-
-def _run_with_budget(tasks, jobs, budget_ms):
-    """Run each task in its own process, at most ``jobs`` at a time.
-
-    A case is timed out when its result has not arrived ``budget_ms``
-    after its own worker started.  Results are read as soon as they
-    arrive, before the worker is joined, so a report larger than the pipe
-    buffer cannot stall its worker.
+def _run_workers(tasks, jobs, budget_ms):
+    """Run (identity, params) tasks on at most ``jobs`` worker processes,
+    started as cases need them and reused.  Each result is read as soon as
+    it arrives, so a large report cannot stall its worker.  With
+    ``budget_ms``, a worker still busy ``budget_ms`` after it received its
+    case is killed and the case recorded as ``timeout``; one that dies
+    without a result leaves an ``error``.  A fresh worker replaces either.
     """
     from multiprocessing.connection import wait
-
-    ctx = multiprocessing.get_context()
     results = [None] * len(tasks)
-    started = 0
-    running = {}  # task index -> (process, reader, deadline)
-    while started < len(tasks) or running:
-        while started < len(tasks) and len(running) < jobs:
-            i = started
-            started += 1
-            reader, writer = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_budget_worker, args=(tasks[i], writer))
-            proc.start()
-            writer.close()
-            running[i] = (proc, reader, time.monotonic() + budget_ms / 1000.0)
-        timeout = max(0.0, min(d for _, _, d in running.values())
-                      - time.monotonic())
-        ready = set(wait([obj for proc, reader, _ in running.values()
-                          for obj in (reader, proc.sentinel)], timeout))
-        now = time.monotonic()
-        for i, (proc, reader, deadline) in list(running.items()):
-            if reader in ready or proc.sentinel in ready:
-                try:
-                    results[i] = reader.recv()
-                except EOFError:  # the worker died without a result
-                    results[i] = _unfinished_record(tasks[i], "error")
-            elif now >= deadline:
-                proc.terminate()
-                results[i] = _unfinished_record(tasks[i], "timeout")
-            else:
-                continue
+    idle, busy = [], {}  # busy: connection -> (process, task index, deadline)
+    i = 0
+    try:
+        while i < len(tasks) or busy:
+            while i < len(tasks) and (idle or len(busy) < jobs):
+                if idle:
+                    proc, conn = idle.pop()
+                else:
+                    conn, child = multiprocessing.Pipe()
+                    proc = multiprocessing.Process(target=_worker, args=(child,))
+                    proc.start()
+                    child.close()
+                conn.send(tasks[i])
+                busy[conn] = (proc, i, budget_ms
+                              and time.monotonic() + budget_ms / 1000.0)
+                i += 1
+            deadlines = [d for _, _, d in busy.values() if d]
+            ready = wait(list(busy), max(0.0, min(deadlines) - time.monotonic())
+                         if deadlines else None)
+            for conn, (proc, j, deadline) in list(busy.items()):
+                if conn in ready:
+                    try:
+                        results[j] = conn.recv()
+                    except EOFError:  # the worker died without a result
+                        status = "error"
+                    else:
+                        del busy[conn]
+                        idle.append((proc, conn))
+                        continue
+                elif deadline and time.monotonic() >= deadline:
+                    status = "timeout"
+                else:
+                    continue
+                del busy[conn]
+                proc.kill()
+                proc.join()
+                conn.close()
+                results[j] = _record(*tasks[j], status)
+        for proc, conn in idle:
+            conn.send(None)
             proc.join()
-            reader.close()
-            del running[i]
+    finally:  # no worker outlives the call, even after an exception
+        for proc, conn in idle + [(p, c) for c, (p, _, _) in busy.items()]:
+            proc.kill()
+            proc.join()
+            conn.close()
     return results
 
 
@@ -514,17 +518,13 @@ def run(config: RunConfig):
     """Run a verification grid; returns (exit_code, list of record dicts)."""
     if config.identity not in REGISTRY:
         return 2, []
-    enum, _ = REGISTRY[config.identity]
-    params_list = enum(config)
-    tasks = [(config.identity, json.dumps(p, sort_keys=True))
-             for p in params_list]
-    if config.budget_ms:
-        records = _run_with_budget(tasks, max(config.jobs, 1), config.budget_ms)
-    elif config.jobs > 1:
-        with multiprocessing.Pool(config.jobs) as pool:
-            records = pool.map(_execute, tasks)
+    # a JSON round trip, so that params hold lists, as the reports print them
+    tasks = [(config.identity, json.loads(json.dumps(p)))
+             for p in REGISTRY[config.identity][0](config)]
+    if config.jobs > 1 or config.budget_ms:
+        records = _run_workers(tasks, max(config.jobs, 1), config.budget_ms)
     else:
-        records = [_execute(t) for t in tasks]
+        records = [_execute(*t) for t in tasks]
     bad = any(r["status"] != "timeout" and not r["equal"] for r in records)
     return (1 if bad else 0), records
 

@@ -577,6 +577,18 @@ def product(factors, table: VarTable) -> MPoly:
     return heap[0][2]
 
 
+def complete_homogeneous(top: int, letters, table: VarTable) -> list:
+    """h_0..h_top of the monomials ``letters`` ({var index: exponent} each)."""
+    hs = [{table.off: 1}] + [{} for _ in range(top)]
+    for exps in letters:
+        delta = table.shift(exps.items())
+        for prev, tgt in zip(hs, hs[1:]):  # h_d += letter * h_{d-1}
+            for key, c in prev.items():  # coefficients stay positive
+                nk = key + delta
+                tgt[nk] = tgt.get(nk, 0) + c
+    return [MPoly._make(table, h) for h in hs]
+
+
 def mul_coeff_x(p1: MPoly, p2: MPoly, v) -> MPoly:
     """coeff_x(p1 * p2, v) without materialising the full product.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .mpoly import MPoly, VarTable, product, table_x
+from .mpoly import MPoly, VarTable, complete_homogeneous, product, table_x
 from .qpoly import Cyclo, IntPoly
 
 
@@ -43,20 +43,8 @@ def complete_h_list(top: int, alphabet: Alphabet, table: VarTable):
     """[h_0, h_1, ..., h_top] of the alphabet, one convolution pass."""
     if alphabet.n > table.nx:
         raise ValueError("alphabet does not fit the table's x block")
-    hs = [dict() for _ in range(top + 1)]
-    hs[0][table.off] = 1
-    for i, k in alphabet.letters():
-        delta = table.monomial_key({0: k, table.x_index(i): 1}) - table.off
-        for d in range(1, top + 1):
-            tgt = hs[d]
-            for key, c in hs[d - 1].items():
-                nk = key + delta
-                s = tgt.get(nk, 0) + c
-                if s:
-                    tgt[nk] = s
-                else:
-                    del tgt[nk]
-    return [MPoly._make(table, h) for h in hs]
+    letters = [{0: k, table.x_index(i): 1} for i, k in alphabet.letters()]
+    return complete_homogeneous(top, letters, table)
 
 
 def complete_h(m: int, alphabet: Alphabet, table: VarTable) -> MPoly:

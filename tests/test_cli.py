@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import os
 import time
 
 import pytest
@@ -204,6 +205,68 @@ class TestParallelism:
         assert time.monotonic() - start < 4
         assert code == 0
         assert [r["status"] for r in records] == ["timeout", "timeout", "ok"]
+
+
+def _stub_runner(p):
+    """Exits the worker, sleeps or reports the pid of its process."""
+    if p.get("exit"):
+        os._exit(3)
+    time.sleep(p.get("sleep", 0.0))
+    pid = str(os.getpid())
+    return VerifyReport("stub", p, pid, pid, True, 0)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched runner reaches workers by fork")
+class TestWorkers:
+    @pytest.fixture
+    def stub(self, monkeypatch):
+        """Registers the grid "stub" with the given cases."""
+        def register(cases):
+            monkeypatch.setitem(cli.REGISTRY, "stub",
+                                (lambda cfg: cases, _stub_runner))
+        return register
+
+    @pytest.mark.parametrize("budget_ms", [None, 60000])
+    def test_workers_are_reused(self, stub, budget_ms):
+        stub([{"case": i} for i in range(6)])
+        code, records = run(RunConfig("stub", jobs=2, budget_ms=budget_ms))
+        pids = {r["lhs"] for r in records}
+        assert code == 0
+        assert [r["status"] for r in records] == ["ok"] * 6
+        assert len(pids) <= 2 and str(os.getpid()) not in pids
+
+    def test_no_more_workers_than_cases(self, stub, monkeypatch):
+        started = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def counting(proc):
+            started.append(proc)
+            start(proc)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            counting)
+        stub([{"case": 0}, {"case": 1}])
+        code, _ = run(RunConfig("stub", jobs=4))
+        assert code == 0
+        assert len(started) <= 2
+
+    @pytest.mark.parametrize("budget_ms", [None, 60000])
+    def test_worker_death_is_an_error(self, stub, budget_ms):
+        stub([{"exit": i == 1} for i in range(4)])
+        code, records = run(RunConfig("stub", jobs=2, budget_ms=budget_ms))
+        assert code == 1
+        assert [r["status"] for r in records] == ["ok", "error", "ok", "ok"]
+        assert records[1]["params"] == {"exit": True}
+
+    @pytest.mark.parametrize("case, budget_ms, status", [
+        ({}, None, "ok"), ({"sleep": 5.0}, 200, "timeout"),
+        ({"exit": True}, None, "error")])
+    def test_no_worker_outlives_run(self, stub, case, budget_ms, status):
+        stub([case, {}, {}])
+        _, records = run(RunConfig("stub", jobs=2, budget_ms=budget_ms))
+        assert [r["status"] for r in records] == [status, "ok", "ok"]
+        assert multiprocessing.active_children() == []
 
 
 class TestCtCommand:
