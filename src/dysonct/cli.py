@@ -461,7 +461,8 @@ def _run_workers(tasks, jobs, budget_ms):
     it arrives, so a large report cannot stall its worker.  With
     ``budget_ms``, a worker still busy ``budget_ms`` after it received its
     case is killed and the case recorded as ``timeout``; one that dies
-    without a result leaves an ``error``.  A fresh worker replaces either.
+    without a result leaves an ``error`` that names its exit code.  A
+    fresh worker replaces either.
     """
     from multiprocessing.connection import wait
     results = [None] * len(tasks)
@@ -502,7 +503,13 @@ def _run_workers(tasks, jobs, budget_ms):
                 proc.kill()
                 proc.join()
                 conn.close()
-                results[j] = _record(*tasks[j], status)
+                if status == "timeout":
+                    results[j] = _record(*tasks[j], status)
+                else:
+                    results[j] = _record(
+                        *tasks[j], status,
+                        f"error: worker exited with code {proc.exitcode}",
+                        equal=False)
         for proc, conn in idle:
             conn.send(None)
             proc.join()

@@ -136,29 +136,23 @@ def fs_degree_profile(a, S) -> tuple:
                  for i in range(1, n + 1))
 
 
-def _factored(sign: int, factors, alpha) -> Cyclo:
-    out = Cyclo(sign)
-    for u, v, k in factors:
-        out = out * Cyclo.q_power_diff(alpha[u - 1], alpha[v - 1] + k)
-    return out
+def _factored(sign: int, factors, alpha, den=()) -> Cyclo:
+    """F(q^alpha) for a factored F, divided by prod (q^f1 - q^f2) over the
+    pairs ``den``; zero as soon as one factor vanishes."""
+    return Cyclo.power_diffs(
+        sign, ((alpha[u - 1], alpha[v - 1] + k) for u, v, k in factors), den)
 
 
 def eval_factored(sign: int, factors, alpha) -> IntPoly:
     """Evaluate a factored polynomial at x_i = q^{alpha_i}."""
-    # most grid points hit a vanishing factor: test before multiplying
-    if any(alpha[u - 1] == alpha[v - 1] + k for u, v, k in factors):
-        return IntPoly()
     return _factored(sign, factors, alpha).expand()
 
 
 def _interpolation_term(sign, factors, grid: Grid, alpha) -> Cyclo:
     """F(q^alpha) / prod_i phi_i'(q^alpha_i) for a factored F."""
-    out = _factored(sign, factors, alpha)
-    for b_set, a_i in zip(grid.points, alpha):
-        for b in b_set:
-            if b != a_i:
-                out = out / Cyclo.q_power_diff(a_i, b)
-    return out
+    return _factored(sign, factors, alpha,
+                     [(a_i, b) for b_set, a_i in zip(grid.points, alpha)
+                      for b in b_set if b != a_i])
 
 
 def dyson_grid(a, S, rng=None):

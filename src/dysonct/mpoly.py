@@ -22,7 +22,12 @@ This module owns the packed format: other modules go through exponent
 vectors and ``monomial_key`` and never shift or mask a packed key.
 
 MPoly values are immutable once built; every operation returns a fresh
-polynomial.
+polynomial.  That makes it safe for a polynomial to memoise its x-bucket
+index, built on the first ``mul_coeff_x`` that reads it: its packed keys
+grouped by their x-part, each group a list of keys whose coefficients stay
+in the term map, so the index adds no integers but the x-parts.  A kernel
+half is read at many x-vectors, and each read after the first only joins
+the two indexes.
 """
 
 from __future__ import annotations
@@ -173,11 +178,12 @@ def table_u(n: int) -> VarTable:
 
 
 class MPoly:
-    __slots__ = ("table", "_terms")
+    __slots__ = ("table", "_terms", "_xbuckets")
 
     def __init__(self, table: VarTable, terms=None):
         self.table = table
         self._terms = {}
+        self._xbuckets = None
         if terms:
             for vec, c in terms:
                 if not c:
@@ -196,6 +202,7 @@ class MPoly:
         p = cls.__new__(cls)
         p.table = table
         p._terms = termdict
+        p._xbuckets = None
         return p
 
     @classmethod
@@ -228,6 +235,16 @@ class MPoly:
 
     def __len__(self):
         return len(self._terms)
+
+    def _x_buckets(self) -> dict:
+        """{x-part of the key: keys with that x-part}, built on first use."""
+        if self._xbuckets is None:
+            xm = self.table._xmask
+            groups: dict[int, list] = {}
+            for k in self._terms:
+                groups.setdefault(k & xm, []).append(k)
+            self._xbuckets = groups
+        return self._xbuckets
 
     def _vectors(self):
         """(exponent vector, coefficient) pairs in storage order."""
@@ -592,33 +609,36 @@ def complete_homogeneous(top: int, letters, table: VarTable) -> list:
 def mul_coeff_x(p1: MPoly, p2: MPoly, v) -> MPoly:
     """coeff_x(p1 * p2, v) without materialising the full product.
 
-    Terms of p2 are bucketed by their x-part; each term of p1 then only
-    meets the single complementary bucket.
+    Both operands' memoised x-bucket indexes are joined: each x-part of
+    one meets the single complementary x-part of the other, and only
+    those two groups are multiplied.
     """
     t = p1.table
     if p2.table != t:
         raise ValueError("variable tables differ")
-    xm = t._xmask
     xoff = t._xoff
     vkey = xoff + t.x_shift(v)
-    buckets: dict[int, list] = {}
-    for k, c in p2._terms.items():
-        buckets.setdefault(k & xm, []).append((k, c))
+    want = vkey + xoff  # the x-parts of a matching pair sum to this
+    drop = t.off + vkey - xoff  # the offset and x^v leave the product key
+    b1, b2 = p1._x_buckets(), p2._x_buckets()
+    t1, t2 = p1._terms, p2._terms
+    if len(b1) > len(b2):
+        b1, b2, t1, t2 = b2, b1, t2, t1
     out: dict[int, int] = {}
-    off = t.off
-    for k1, c1 in p1._terms.items():
-        want = vkey - (k1 & xm) + xoff
-        block = buckets.get(want)
-        if not block:
+    for x1, keys1 in b1.items():
+        keys2 = b2.get(want - x1)
+        if keys2 is None:
             continue
-        base = k1 - off
-        for k2, c2 in block:
-            nk = base + k2 - (vkey - xoff)
-            s = out.get(nk, 0) + c1 * c2
-            if s:
-                out[nk] = s
-            else:
-                del out[nk]
+        for k1 in keys1:
+            c1 = t1[k1]
+            base = k1 - drop
+            for k2 in keys2:
+                nk = base + k2
+                s = out.get(nk, 0) + c1 * t2[k2]
+                if s:
+                    out[nk] = s
+                else:
+                    del out[nk]
     return MPoly._make(t, out)
 
 

@@ -12,7 +12,17 @@ one as sign * q^shift * prod_d Phi_d(q)^m_d over the cyclotomic
 polynomials Phi_d, so that multiplying and dividing add and subtract
 exponents.  It is expanded once, at the end, and an exponent that stays
 negative raises NonExactDivision: that is how a wrong formula shows.
-cyclo_sum adds such ratios over their common cyclotomic denominator.
+
+The expansion is a Kronecker substitution.  Since ||fg||_1 <= ||f||_1
+||g||_1, every coefficient of the product is at most
+B = prod_d ||Phi_d||_1^m_d in absolute value.  With b = bitlen(B) + 1,
+the integer sign * prod_d Phi_d(2^b)^m_d therefore holds the coefficients
+as balanced base-2^b digits (a digit >= 2^(b-1) stands for itself minus
+2^b, with a carry into the next one), and one big-integer product
+replaces the polynomial multiplications.  cyclo_sum adds such ratios: it
+factors out the smallest exponent of each Phi_d, expands and sums the
+polynomial quotients, and divides exactly by the part of that common
+factor left in the denominator.
 
 QRat is the field of quotients, the slow reference route (polynomial
 gcd) kept for the generic interpolation extractor and the tests.  Every
@@ -539,6 +549,13 @@ def cyclotomic(d: int) -> IntPoly:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_size(d: int) -> tuple:
+    """(degree, l1 norm) of Phi_d."""
+    phi = cyclotomic(d)
+    return phi.degree(), sum(abs(c) for c in phi._c.values())
+
+
 class Cyclo:
     """sign * q^shift * prod_d Phi_d(q)^mult[d], the exponents in Z.
 
@@ -548,7 +565,8 @@ class Cyclo:
     representation is unique (the Phi_d are distinct irreducibles), so
     equality is structural.  ``expand`` multiplies out once, at the end,
     and raises NonExactDivision if some Phi_d keeps a negative exponent,
-    which is how a wrong formula shows.  sign 0 is the zero value.
+    which is how a wrong formula shows.  sign 0 is the zero value.  Values
+    are immutable: every operation returns a new Cyclo.
     """
 
     __slots__ = ("sign", "shift", "mult")
@@ -563,19 +581,40 @@ class Cyclo:
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def power_diffs(cls, sign: int, num, den=()) -> "Cyclo":
+        """sign * prod (q^e1 - q^e2) over the pairs of ``num``, divided by
+        prod (q^f1 - q^f2) over the pairs of ``den``, in one pass.
+
+        q^e1 - q^e2 is -q^e1 prod_{d | k} Phi_d for k = e2 - e1 > 0 and
+        q^e2 prod_{d | -k} Phi_d for k < 0.  A zero factor (e1 = e2) makes
+        the value zero in ``num`` and raises ZeroDivisionError in ``den``,
+        which is read first.
+        """
+        shift, mult = 0, {}
+        for pairs, k in ((den, -1), (num, 1)):
+            for e1, e2 in pairs:
+                if e1 == e2:
+                    if k < 0:
+                        raise ZeroDivisionError("division by a zero Cyclo")
+                    return cls(0)
+                if e1 < e2:
+                    sign = -sign
+                    shift += k * e1
+                else:
+                    shift += k * e2
+                for d in _divisors(abs(e1 - e2)):
+                    mult[d] = mult.get(d, 0) + k
+        return cls(sign, shift, mult)
+
+    @classmethod
     def one_minus_q(cls, k: int) -> "Cyclo":
-        """1 - q^k: -prod_{d | k} Phi_d for k > 0, q^k prod_{d | -k} Phi_d
-        for k < 0, and zero for k = 0."""
-        if k == 0:
-            return cls(0)
-        if k > 0:
-            return cls(-1, 0, dict.fromkeys(_divisors(k), 1))
-        return cls(1, k, dict.fromkeys(_divisors(-k), 1))
+        """1 - q^k, which is zero for k = 0."""
+        return cls.power_diffs(1, [(0, k)])
 
     @classmethod
     def q_power_diff(cls, e1: int, e2: int) -> "Cyclo":
-        """q^e1 - q^e2 = q^e1 (1 - q^(e2 - e1))."""
-        return cls.one_minus_q(e2 - e1).shifted(e1)
+        """q^e1 - q^e2, which is zero for e1 = e2."""
+        return cls.power_diffs(1, [(e1, e2)])
 
     @classmethod
     def qfactorial(cls, n: int) -> "Cyclo":
@@ -599,28 +638,17 @@ class Cyclo:
             return cls(0)
         return cls(1, 0, {d: n // d - m // d - (n - m) // d for d in range(1, n + 1)})
 
-    @classmethod
-    def qmultinom(cls, a) -> "Cyclo":
+    @staticmethod
+    def qmultinom(a) -> "Cyclo":
         """q-multinomial coefficient of a composition.
 
         Computed both as (q)_{|a|} / prod (q)_{a_i}, whose Phi_d exponent is
         floor(|a|/d) - sum floor(a_i/d), and as the telescoping product of
-        q-binomials of the partial sums; the two must agree.
+        q-binomials of the partial sums; the two must agree.  The grids
+        enumerate by a, so the last few distinct a are cached (a Cyclo is
+        immutable, so the shared value is safe).
         """
-        a = tuple(a)
-        if any(x < 0 for x in a):
-            raise ValueError("qmultinom needs nonnegative parts")
-        total = sum(a)
-        direct = cls(1, 0, {d: total // d - sum(x // d for x in a)
-                            for d in range(1, total + 1)})
-        sigma = 0
-        telescoped = cls()
-        for x in a:
-            sigma += x
-            telescoped = telescoped * cls.qbinom(sigma, x)
-        if direct != telescoped:
-            raise AssertionError(f"qmultinom mismatch for a={a}")
-        return direct
+        return _qmultinom(tuple(a))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -651,41 +679,82 @@ class Cyclo:
         return (self.sign, self.shift, self.mult) == (other.sign, other.shift, other.mult)
 
     def expand(self) -> IntPoly:
-        """The value as an IntPoly; NonExactDivision if it is not one."""
+        """The value as an IntPoly; NonExactDivision if it is not one.
+
+        Multiplied out by Kronecker substitution at q = 2^b, with b one bit
+        above the coefficient bound (see the module docstring).
+        """
         if not self.sign:
             return IntPoly()
         left = sorted(d for d, m in self.mult.items() if m < 0)
         if left:
             raise NonExactDivision(
                 f"not a polynomial: Phi_d stays in the denominator for d in {left}")
-        out = IntPoly({self.shift: self.sign})
-        for d, m in sorted(self.mult.items()):
-            phi = cyclotomic(d)
-            for _ in range(m):
-                out = out * phi
-        return out
+        degree, bound = 0, 1
+        for d, m in self.mult.items():
+            deg_d, norm_d = _cyclotomic_size(d)
+            degree += m * deg_d
+            bound *= norm_d ** m
+        b = bound.bit_length() + 1
+        value = self.sign
+        for d, m in self.mult.items():
+            value *= sum(c << (e * b) for e, c in cyclotomic(d)._c.items()) ** m
+        mask, half, base = (1 << b) - 1, 1 << (b - 1), 1 << b
+        out = {}
+        for e in range(self.shift, self.shift + degree + 1):
+            digit = value & mask
+            if digit >= half:
+                digit -= base
+            if digit:
+                out[e] = digit
+            value = (value - digit) >> b
+        r = IntPoly.__new__(IntPoly)
+        r._c = out
+        return r
 
     def __repr__(self):
         return f"Cyclo({self.sign}, {self.shift}, {dict(sorted(self.mult.items()))})"
 
 
+@functools.lru_cache(maxsize=8)
+def _qmultinom(a: tuple) -> Cyclo:
+    if any(x < 0 for x in a):
+        raise ValueError("qmultinom needs nonnegative parts")
+    total = sum(a)
+    direct = Cyclo(1, 0, {d: total // d - sum(x // d for x in a)
+                          for d in range(1, total + 1)})
+    sigma = 0
+    telescoped = Cyclo()
+    for x in a:
+        sigma += x
+        telescoped = telescoped * Cyclo.qbinom(sigma, x)
+    if direct != telescoped:
+        raise AssertionError(f"qmultinom mismatch for a={a}")
+    return direct
+
+
 def cyclo_sum(terms) -> IntPoly:
     """The sum of Cyclo values, as an IntPoly.
 
-    The terms go over their common denominator prod_d Phi_d^M_d, M_d the
-    largest exponent of Phi_d in any term's denominator: each numerator
-    expands to an integer polynomial, and their sum is divided exactly by
-    the monic denominator.  A remainder (the sum is not a polynomial)
-    raises NonExactDivision.
+    The common factor g = q^s prod_d Phi_d^g_d, with s the smallest shift
+    and g_d the smallest exponent of Phi_d over the terms, comes out
+    first: every t / g is a polynomial, and only those are expanded and
+    summed.  The sum is divided exactly by the Phi_d with g_d < 0 and then
+    multiplied by the rest of g.  A remainder (the sum is not a
+    polynomial) raises NonExactDivision.
     """
     terms = [t for t in terms if t.sign]
-    den = {}
+    if not terms:
+        return IntPoly()
+    low = {d: 0 for t in terms for d in t.mult}
     for t in terms:
-        for d, m in t.mult.items():
-            if -m > den.get(d, 0):
-                den[d] = -m
-    common = Cyclo(1, 0, den)
+        for d in low:
+            low[d] = min(low[d], t.mult.get(d, 0))
+    g = Cyclo(1, min(t.shift for t in terms), low)
     num = IntPoly()
     for t in terms:
-        num = num + (t * common).expand()
-    return num.exact_div(common.expand()) if den else num
+        num = num + (t / g).expand()
+    den = Cyclo(1, 0, {d: -m for d, m in low.items() if m < 0})
+    if den.mult:
+        num = num.exact_div(den.expand())
+    return num * (g * den).expand()

@@ -252,12 +252,18 @@ class TestWorkers:
         assert len(started) <= 2
 
     @pytest.mark.parametrize("budget_ms", [None, 60000])
-    def test_worker_death_is_an_error(self, stub, budget_ms):
+    def test_worker_death_is_an_error(self, stub, budget_ms, capsys):
         stub([{"exit": i == 1} for i in range(4)])
         code, records = run(RunConfig("stub", jobs=2, budget_ms=budget_ms))
         assert code == 1
         assert [r["status"] for r in records] == ["ok", "error", "ok", "ok"]
         assert records[1]["params"] == {"exit": True}
+        assert records[1]["equal"] is False
+        budget = ["--budget-ms", str(budget_ms)] if budget_ms else []
+        assert main(["verify", "stub", "--jobs", "2"] + budget) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == ("FAIL stub exit=True | "
+                            "lhs=error: worker exited with code 3 rhs=")
 
     @pytest.mark.parametrize("case, budget_ms, status", [
         ({}, None, "ok"), ({"sleep": 5.0}, 200, "timeout"),

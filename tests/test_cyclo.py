@@ -389,3 +389,178 @@ class TestRerouted:
             for r in (2, 3):
                 value, _ = sills_coeff_interpolated(a, r)
                 assert value == ref_interpolated(*sills_factors(a), sills_grid(a, r))
+
+
+# -- the Kronecker expansion, the one-pass constructor and cyclo_sum ---------------
+#
+# The references are the routes they replaced: one Phi_d at a time through
+# IntPoly multiplication, chained single-factor Cyclo products, and a
+# cyclo_sum over the common denominator of all terms.
+
+def ref_expand(c):
+    if not c.sign:
+        return IntPoly()
+    if any(m < 0 for m in c.mult.values()):
+        raise NonExactDivision("negative Phi_d exponent")
+    out = IntPoly({c.shift: c.sign})
+    for d, m in sorted(c.mult.items()):
+        for _ in range(m):
+            out = out * cyclotomic(d)
+    return out
+
+
+def ref_one_minus_q(k):
+    if k == 0:
+        return Cyclo(0)
+    divisors = [d for d in range(1, abs(k) + 1) if k % d == 0]
+    if k > 0:
+        return Cyclo(-1, 0, dict.fromkeys(divisors, 1))
+    return Cyclo(1, k, dict.fromkeys(divisors, 1))
+
+
+def ref_power_diffs(sign, num, den):
+    out = Cyclo(sign)
+    for e1, e2 in num:
+        out = out * ref_one_minus_q(e2 - e1).shifted(e1)
+    for f1, f2 in den:
+        out = out / ref_one_minus_q(f2 - f1).shifted(f1)
+    return out
+
+
+def ref_cyclo_sum(terms):
+    terms = [t for t in terms if t.sign]
+    den = {}
+    for t in terms:
+        for d, m in t.mult.items():
+            if -m > den.get(d, 0):
+                den[d] = -m
+    common = Cyclo(1, 0, den)
+    num = IntPoly()
+    for t in terms:
+        num = num + ref_expand(t * common)
+    return num.exact_div(ref_expand(common)) if den else num
+
+
+def _random_cyclo(rng):
+    """A Cyclo with nonnegative exponents, some of them large."""
+    sign = rng.choice((-1, -1, 0, 1, 1, 1))
+    mult = {d: rng.randrange(0, 4) for d in rng.sample(range(1, 31), 6)}
+    if rng.random() < 0.3:
+        mult[rng.choice((1, 2))] = rng.randrange(60, 90)
+    return Cyclo(sign, rng.randrange(-20, 21), mult)
+
+
+class TestKroneckerExpand:
+    def test_random_products_match_reference(self):
+        rng = random.Random(4711)
+        big = negative = zero = 0
+        for _ in range(300):
+            c = _random_cyclo(rng)
+            got = c.expand()
+            assert got == ref_expand(c), c
+            big += any(abs(x) > 2 ** 64 for _, x in got.items())
+            negative += c.sign != 0 and c.shift < 0
+            zero += got.is_zero
+        assert big > 20 and negative > 50 and zero > 20
+
+    def test_tight_and_trivial_bounds(self):
+        # an empty product has bound 1, and Phi_2^m has a coefficient close
+        # to its bound ||Phi_2^m||_1 = 2^m
+        for sign in (-1, 1):
+            for shift in (-3, 0, 4):
+                assert Cyclo(sign, shift).expand() == IntPoly({shift: sign})
+        for m in range(1, 40):
+            for mult in ({2: m}, {1: m}, {1: m, 2: m}, {3: 1, 6: m}):
+                c = Cyclo(-1, -m, mult)
+                assert c.expand() == ref_expand(c)
+
+    def test_every_grid_value_matches_reference(self, monkeypatch):
+        from dysonct.cli import RunConfig, run
+        seen = []
+        expand = Cyclo.expand
+
+        def recording(self):
+            seen.append(self)
+            return expand(self)
+
+        monkeypatch.setattr(Cyclo, "expand", recording)
+        for identity in ("sills", "lxz"):
+            for n in (2, 3):
+                run(RunConfig(identity, n=n, a_max=2, sum_max=8))
+        run(RunConfig("interp-dyson", n=3, a_max=2))
+        run(RunConfig("interp-closed", n=3, a_max=2))
+        run(RunConfig("interp-sills", n=3, a_max=2))
+        monkeypatch.undo()
+        assert len(seen) > 500
+        for c in seen:
+            assert c.expand() == ref_expand(c), c
+
+
+class TestPowerDiffs:
+    def test_random_products_match_chained_factors(self):
+        rng = random.Random(99)
+        zeros = raised = 0
+        for _ in range(400):
+            sign = rng.choice((-1, 1))
+            num = [(rng.randrange(-5, 9), rng.randrange(-5, 9))
+                   for _ in range(rng.randrange(0, 7))]
+            den = [(rng.randrange(-5, 9), rng.randrange(-5, 9))
+                   for _ in range(rng.randrange(0, 4))]
+            try:
+                want = ref_power_diffs(sign, num, den)
+            except ZeroDivisionError:
+                raised += 1
+                with pytest.raises(ZeroDivisionError):
+                    Cyclo.power_diffs(sign, num, den)
+                continue
+            got = Cyclo.power_diffs(sign, iter(num), den)
+            assert got == want, (sign, num, den)
+            zeros += not got.sign
+        assert zeros > 50 and raised > 20
+
+    def test_zero_factors(self):
+        assert Cyclo.power_diffs(1, [(1, 3), (2, 2)], [(0, 1)]) == Cyclo(0)
+        with pytest.raises(ZeroDivisionError):
+            Cyclo.power_diffs(1, [(1, 3)], [(4, 4)])
+        # a zero denominator raises even when the numerator is zero, as
+        # Cyclo(0) / Cyclo.q_power_diff(4, 4) does
+        with pytest.raises(ZeroDivisionError):
+            Cyclo.power_diffs(1, [(2, 2)], [(4, 4)])
+        with pytest.raises(ZeroDivisionError):
+            Cyclo(0) / Cyclo.q_power_diff(4, 4)
+
+
+class TestCycloSumReference:
+    def test_random_sums_match_old_route(self):
+        rng = random.Random(5150)
+        raised = 0
+        for _ in range(200):
+            terms = [_random_ratio(rng)[2] for _ in range(rng.randrange(0, 5))]
+            terms = [t.shifted(rng.randrange(-4, 5)) for t in terms]
+            try:
+                want = ref_cyclo_sum(terms)
+            except NonExactDivision:
+                raised += 1
+                with pytest.raises(NonExactDivision):
+                    cyclo_sum(terms)
+                continue
+            assert cyclo_sum(terms) == want
+        assert 20 < raised < 180
+
+
+class TestQmultinomCache:
+    def test_cached_value_is_shared_and_unchanged(self):
+        a = (2, 1, 3)
+        first = Cyclo.qmultinom(a)
+        before = (first.sign, first.shift, dict(first.mult))
+        assert Cyclo.qmultinom(list(a)) is first
+        other = Cyclo.one_minus_q(4) / Cyclo.one_minus_q(2)
+        for value in (first * other, first / other, other * first,
+                      other / first, -first, first.shifted(3)):
+            if all(m >= 0 for m in value.mult.values()):
+                value.expand()
+        cyclo_sum([first, first / other, -first])
+        first.expand()
+        assert (first.sign, first.shift, first.mult) == before
+        assert Cyclo.qmultinom(a) == Cyclo(*before)
+        assert qmultinom(a) == ref_qmultinom(a)

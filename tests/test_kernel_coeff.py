@@ -6,6 +6,7 @@ and then extracts with ``coeff_x``; it is kept only in this test.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -76,6 +77,28 @@ def test_kernel_coeff_matches_full_expansion(family):
             checked += 1
         assert kernel_coeff(factors, table) == full.ct_x()
     assert checked
+
+
+def test_repeated_extraction_in_shuffled_order():
+    # each half memoises its x-bucket index on the first extraction; later
+    # ones, from the same kernel or interleaved with other kernels on the
+    # same table, must read the right index
+    rng = random.Random(2024)
+    table = kernel_table("dyson", 3)
+    kernels, fulls = [], []
+    for a in ((2, 1, 2), (1, 2, 0), (2, 2, 1)):
+        factors = kernel_factors("dyson", a, table)
+        kernels.append(Kernel(factors, table))
+        fulls.append(product(factors, table))
+    reads = [(i, v) for i in range(len(kernels))
+             for v in itertools.product(range(-3, 4), repeat=3) if sum(v) == 0]
+    rng.shuffle(reads)
+    nonzero = 0
+    for i, v in reads:
+        got = kernels[i].coeff_x(v)
+        assert got == fulls[i].coeff_x(v), (i, v)
+        nonzero += not got.is_zero
+    assert nonzero > len(reads) // 2
 
 
 @pytest.mark.parametrize("family", ["dyson", "t", "tzero"])
