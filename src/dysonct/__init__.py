@@ -27,7 +27,7 @@ from .symfun import (
     isobaric_pihat, key_poly, keyhat_poly, scalar_product, schur_principal,
 )
 from .identities import (
-    D_vlambda, VerifyReport, c_w, poincare_W, rhs_bg_alternating,
+    D_vlambda, c_w, poincare_W, rhs_bg_alternating,
     rhs_bg_general, rhs_kadell, rhs_kadell_t, rhs_lxz, rhs_poincare_qdyson,
     rhs_qdyson, rhs_sills, rhs_strict, rhs_tournament,
 )

@@ -324,9 +324,21 @@ class Tournament:
     def __hash__(self):
         return hash((self.n, self.edges))
 
+    def serialize(self) -> str:
+        """The edges as "i>j" words, sorted and space-separated."""
+        return " ".join(f"{i}>{j}" for i, j in sorted(self.edges))
+
+    @classmethod
+    def parse(cls, n: int, text: str) -> "Tournament":
+        """Inverse of ``serialize``; commas may also separate the words."""
+        edges = set()
+        for word in text.replace(",", " ").split():
+            i, j = word.split(">")
+            edges.add((int(i), int(j)))
+        return cls(n, edges)
+
     def __repr__(self):
-        body = " ".join(f"{i}>{j}" for i, j in sorted(self.edges))
-        return f"Tournament({self.n}: {body})"
+        return f"Tournament({self.n}: {self.serialize()})"
 
 
 def all_tournaments(n: int):

@@ -9,8 +9,13 @@ which raises NonExactDivision rather than drifting silently.  Sums of such
 ratios go over a common cyclotomic denominator (qpoly.cyclo_sum) and raise
 the same way when the sum is not a polynomial.
 
-Verifier functions return a VerifyReport whose ``equal`` flag compares the
-canonical serializations of the two sides.
+Each identity has one checker, ``verify_<identity>``: the identity's name
+with ``-`` turned into ``_``.  It takes one case's params as keyword
+arguments, exactly as the report line prints them (lists, integers, and
+permutations, (0,1)-matrices and tournaments in their serialized form),
+and returns the two rendered sides ``(lhs, rhs)``.  The case holds when
+the two strings are equal.  Checkers neither time nor record a case;
+``cli._execute`` does both.
 """
 
 from __future__ import annotations
@@ -18,13 +23,11 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import time
-from dataclasses import dataclass
 
 from .combi import (
-    Permutation, Tournament, left_justified_from_rows, all_pairs, ell_stats,
-    partial_sums, sort_desc, reverse, staircase, conjugate, is_partition,
-    is_strict, weight,
+    Permutation, Tournament, ZeroOneMatrix, left_justified_from_rows,
+    all_pairs, ell_stats, partial_sums, sort_desc, reverse, staircase,
+    conjugate, is_partition, is_strict, weight,
 )
 from .mpoly import (
     Kernel, MPoly, VarTable, bg_alternating_kernel, bg_kernel, dyson_kernel,
@@ -32,7 +35,10 @@ from .mpoly import (
     tkernel, tournament_kernel, tzero_kernel,
 )
 from .qpoly import Cyclo, IntPoly, cyclo_sum, qbinom, qmultinom
-from .symfun import schur_principal
+from .symfun import (
+    hook_content, key_poly, keyhat_poly, scalar_product, schur_onevar_value,
+    schur_principal,
+)
 
 
 # -- small helpers -------------------------------------------------------------
@@ -491,191 +497,187 @@ def reduction_check(v, a, m: int) -> bool:
     return lhs.to_intpoly() == rhs.to_intpoly()
 
 
-# -- reports ------------------------------------------------------------------------
+# -- checkers -------------------------------------------------------------------------
+# verify_<identity> takes one case's params as its report prints them and
+# returns the two rendered sides (lhs, rhs).
 
-@dataclass
-class VerifyReport:
-    identity: str
-    params: dict
-    lhs: str
-    rhs: str
-    equal: bool
-    millis: int
+def verify_q_dyson(a):
+    a = tuple(a)
+    return str(dyson_kernel(a).ct_x().to_intpoly()), str(rhs_qdyson(a))
 
 
-def _report(identity, params, lhs_str, rhs_str, started) -> VerifyReport:
-    return VerifyReport(identity, params, lhs_str, rhs_str,
-                        lhs_str == rhs_str,
-                        int((time.perf_counter() - started) * 1000))
-
-
-def verify_qdyson(a) -> VerifyReport:
-    start = time.perf_counter()
-    lhs = dyson_kernel(a).ct_x().to_intpoly()
-    rhs = rhs_qdyson(a)
-    return _report("q-dyson", {"a": list(a)}, str(lhs), str(rhs), start)
-
-
-def verify_poincare(a) -> VerifyReport:
+def verify_poincare(a):
     """Full t-expansion of the deformed kernel against sum_w c_w t_{R(w)},
     including the vanishing of every t_S coefficient with K(S) < n."""
-    start = time.perf_counter()
     a = tuple(a)
     n = len(a)
     table = table_kernel(n)
-    lhs = tkernel(a, table).ct_x()
-    rhs = rhs_poincare_qdyson(a, table)
-    lhs_str = serialize_t_coefficients(t_coefficients(lhs), table.t_pairs)
-    rhs_str = serialize_t_coefficients(t_coefficients(rhs), table.t_pairs)
+    lhs = t_coefficients(tkernel(a, table).ct_x())
+    rhs = t_coefficients(rhs_poincare_qdyson(a, table))
+    lhs_str = serialize_t_coefficients(lhs, table.t_pairs)
     # independent support check: only recording sets may appear
     pairs = sorted(all_pairs(n))
-    for texp in t_coefficients(lhs):
+    for texp in lhs:
         S = frozenset(p for p, e in zip(pairs, texp) if e)
         _, _, _, K = ell_stats(S, n)
         if K != n:
             lhs_str += f" [nonzero at K<{n}: {sorted(S)}]"
-    return _report("poincare", {"a": list(a)}, lhs_str, rhs_str, start)
+    return lhs_str, serialize_t_coefficients(rhs, table.t_pairs)
 
 
-def verify_equal_collapse(n: int, k: int) -> VerifyReport:
-    start = time.perf_counter()
-    a = (k,) * n
+def verify_poincare_equal(n: int, k: int):
     table = table_kernel(n)
-    lhs = tkernel(a, table).ct_x()
+    lhs = tkernel((k,) * n, table).ct_x()
     scale = IntPoly.const(1)
     for i in range(1, n):
         scale = scale * qbinom((i + 1) * k - 1, k - 1)
-    rhs = poincare_W(n, table) * scale
-    return _report("poincare-equal", {"n": n, "k": k}, str(lhs), str(rhs), start)
+    return str(lhs), str(poincare_W(n, table) * scale)
 
 
-def verify_wtd(n: int) -> VerifyReport:
-    start = time.perf_counter()
+def verify_wtd(n: int):
     lhs = tkernel((1,) * n).ct_x().collapse_t_single()
-    rhs = poincare_single_product(n)
     also = poincare_W(n).collapse_t_single()
     lhs_str = str(lhs) if lhs == also else f"{lhs} != {also}"
-    return _report("wtd", {"n": n}, lhs_str, str(rhs), start)
+    return lhs_str, str(poincare_single_product(n))
 
 
-def verify_bg_general(a, index_set) -> VerifyReport:
-    start = time.perf_counter()
-    lhs = bg_kernel(a, index_set).ct_x().to_intpoly()
-    rhs = rhs_bg_general(a, index_set)
-    return _report("bg-general", {"a": list(a), "I": sorted(index_set)},
-                   str(lhs), str(rhs), start)
+def verify_bg_general(a, I):
+    a, I = tuple(a), set(I)
+    return (str(bg_kernel(a, I).ct_x().to_intpoly()),
+            str(rhs_bg_general(a, I)))
 
 
-def verify_bg_alternating(a) -> VerifyReport:
-    start = time.perf_counter()
-    lhs = bg_alternating_kernel(a).ct_x().to_intpoly()
-    rhs = rhs_bg_alternating(a)
-    return _report("bg-alternating", {"a": list(a)}, str(lhs), str(rhs), start)
+def verify_bg_alternating(a):
+    a = tuple(a)
+    return (str(bg_alternating_kernel(a).ct_x().to_intpoly()),
+            str(rhs_bg_alternating(a)))
 
 
-def verify_tournament(t: Tournament, a) -> VerifyReport:
-    start = time.perf_counter()
-    lhs = tournament_kernel(t, a).ct_x().to_intpoly()
-    rhs = rhs_tournament(t, a)
-    edges = " ".join(f"{i}>{j}" for i, j in sorted(t.edges))
-    return _report("tournament", {"a": list(a), "edges": edges},
-                   str(lhs), str(rhs), start)
+def verify_tournament(a, edges: str):
+    a = tuple(a)
+    t = Tournament.parse(len(a), edges)
+    return (str(tournament_kernel(t, a).ct_x().to_intpoly()),
+            str(rhs_tournament(t, a)))
 
 
-def verify_kadell(v, a) -> VerifyReport:
-    start = time.perf_counter()
-    m = weight(v)
-    lhs = D_vlambda(v, (m,), a, "qa").to_intpoly()
-    rhs = rhs_kadell(v, a)
-    return _report("kadell", {"v": list(v), "a": list(a)},
-                   str(lhs), str(rhs), start)
+def verify_kadell(v, a):
+    lhs = D_vlambda(v, (weight(v),), a, "qa").to_intpoly()
+    return str(lhs), str(rhs_kadell(v, a))
 
 
-def verify_kadell_t(k: int, m: int, a) -> VerifyReport:
-    start = time.perf_counter()
+def verify_kadell_t(k: int, m: int, a):
     a = tuple(a)
     n = len(a)
     v = (0,) * (k - 1) + (m,) + (0,) * (n - k)
     table = table_kernel(n)
     lhs = D_vlambda(v, (m,), a, "symbolic", table)
     rhs = rhs_kadell_t(k, m, a, table)
-    lhs_str = serialize_t_coefficients(t_coefficients(lhs), table.t_pairs)
-    rhs_str = serialize_t_coefficients(t_coefficients(rhs), table.t_pairs)
-    return _report("kadell-t", {"k": k, "m": m, "a": list(a)},
-                   lhs_str, rhs_str, start)
+    return (serialize_t_coefficients(t_coefficients(lhs), table.t_pairs),
+            serialize_t_coefficients(t_coefficients(rhs), table.t_pairs))
 
 
-def verify_strict(lam, a, w: Permutation) -> VerifyReport:
-    start = time.perf_counter()
-    lam = tuple(lam)
+def verify_strict(lam, a, w: str):
+    lam, w = tuple(lam), Permutation.parse(w)
     v = w.inverse().act(reverse(lam))
     lhs = D_vlambda(v, tuple(x for x in lam if x), a, "qa").to_intpoly()
-    rhs = rhs_strict(lam, a, w)
-    return _report("strict", {"lam": list(lam), "a": list(a),
-                              "w": w.serialize()},
-                   str(lhs), str(rhs), start)
+    return str(lhs), str(rhs_strict(lam, a, w))
 
 
-def verify_usum(n: int) -> VerifyReport:
-    start = time.perf_counter()
-    lhs, rhs = usum_cleared_sides(n)
-    return _report("usum", {"n": n}, str(lhs), str(rhs), start)
+def verify_usum(n: int):
+    return tuple(map(str, usum_cleared_sides(n)))
 
 
-def verify_usum_k(n: int, k: int) -> VerifyReport:
-    start = time.perf_counter()
-    lhs, rhs = usum_k_cleared_sides(n, k)
-    return _report("usum-k", {"n": n, "k": k}, str(lhs), str(rhs), start)
+def verify_usum_k(n: int, k: int):
+    return tuple(map(str, usum_k_cleared_sides(n, k)))
 
 
-def verify_prop_kappa(kappa, lam, w, a) -> VerifyReport:
-    start = time.perf_counter()
-    lhs, rhs = prop_kappa_sides(kappa, lam, w, a)
+def verify_prop_kappa(kappa: str, lam, w: str, a):
+    lhs, rhs = prop_kappa_sides(ZeroOneMatrix.parse(kappa), lam,
+                                Permutation.parse(w), a)
     pairs = table_kernel(len(a)).t_pairs
-    return _report("prop-kappa",
-                   {"kappa": kappa.serialize(), "lam": list(lam),
-                    "w": w.serialize(), "a": list(a)},
-                   serialize_t_coefficients(lhs, pairs),
-                   serialize_t_coefficients(rhs, pairs), start)
+    return (serialize_t_coefficients(lhs, pairs),
+            serialize_t_coefficients(rhs, pairs))
 
 
-def verify_prop_zero(kappa, lam, a) -> VerifyReport:
-    start = time.perf_counter()
-    lhs = D_vlambda(kappa.row_sums(), tuple(x for x in lam if x), a, "symbolic")
-    return _report("prop-zero",
-                   {"kappa": kappa.serialize(), "lam": list(lam), "a": list(a)},
-                   str(lhs), "0", start)
+def verify_prop_zero(kappa: str, lam, a):
+    row_sums = ZeroOneMatrix.parse(kappa).row_sums()
+    return str(D_vlambda(row_sums, tuple(x for x in lam if x), a,
+                         "symbolic")), "0"
 
 
-def verify_prop_vnu(v, a, m: int) -> VerifyReport:
-    start = time.perf_counter()
+def verify_prop_vnu(v, a, m: int):
     lhs, rhs = prop_vnu_sides(v, a, m)
     pairs = table_kernel(len(a)).t_pairs
-    return _report("prop-vnu", {"v": list(v), "a": list(a), "m": m},
-                   serialize_t_coefficients(lhs, pairs),
-                   serialize_t_coefficients(rhs, pairs), start)
+    return (serialize_t_coefficients(lhs, pairs),
+            serialize_t_coefficients(rhs, pairs))
 
 
-def verify_sills(a, r: int, s: int) -> VerifyReport:
-    start = time.perf_counter()
-    lhs = sills_lhs(a, r, s)
-    rhs = rhs_sills(a, r, s)
-    return _report("sills", {"a": list(a), "r": r, "s": s},
-                   str(lhs), str(rhs), start)
+def verify_sills(a, r: int, s: int):
+    return str(sills_lhs(a, r, s)), str(rhs_sills(a, r, s))
 
 
-def verify_lxz(v, a) -> VerifyReport:
-    start = time.perf_counter()
-    lhs = lxz_lhs(v, a)
-    rhs = rhs_lxz(v, a)
-    return _report("lxz", {"v": list(v), "a": list(a)},
-                   str(lhs), str(rhs), start)
+def verify_lxz(v, a):
+    return str(lxz_lhs(tuple(v), a)), str(rhs_lxz(v, a))
 
 
-def verify_hook_content(lam, a: int) -> VerifyReport:
-    from .symfun import hook_content, schur_onevar_value
-    start = time.perf_counter()
-    lhs = schur_onevar_value(lam, a)
-    rhs = hook_content(lam, a)
-    return _report("hook-content", {"lam": list(lam), "a": a},
-                   str(lhs), str(rhs), start)
+def verify_interp_dyson(a, S):
+    """The interpolated t -> 0 coefficient of x^v(S) against its brute-force
+    extraction; it must be nonzero exactly when K(S) = n."""
+    from .interp import dyson_coeff_interpolated
+    a = tuple(a)
+    S = frozenset(map(tuple, S))
+    n = len(a)
+    value, _, _ = dyson_coeff_interpolated(a, S)
+    d_in, e_out, _, K = ell_stats(S, n)
+    v = tuple(e - d for e, d in zip(e_out, d_in))
+    brute = cached_kernel("tzero", a).coeff_x(v).to_intpoly() * (-1) ** len(S)
+    lhs = str(value)
+    if (K == n) != (not value.is_zero):
+        lhs += " [K-dichotomy violated]"
+    return lhs, str(brute)
+
+
+def verify_interp_closed(a, w: str):
+    from .interp import closed_eval
+    a, w = tuple(a), Permutation.parse(w)
+    return str(closed_eval(a, w)), str(c_w(a, w))
+
+
+def verify_interp_sills(a, r: int):
+    from .interp import sills_coeff_interpolated
+    a = tuple(a)
+    value, _ = sills_coeff_interpolated(a, r)
+    return str(value), str(rhs_sills(a, r, 1))
+
+
+def verify_scalar_kkhat(v, w):
+    """<K_v, K^hat_w> is 1 when v is w reversed, else 0."""
+    v, w = tuple(v), tuple(w)
+    t = table_x(len(v))
+    got = scalar_product(key_poly(v, t), keyhat_poly(w, t))
+    return str(got), str(IntPoly.const(1 if v == reverse(w) else 0))
+
+
+def verify_schur_monomial(lam, v):
+    """<s_lam, x^v> is the sign of the permutation sorting v + delta to
+    lam + delta, and 0 when there is none."""
+    lam, v = tuple(lam), tuple(v)
+    n = len(lam)
+    t = table_x(n)
+    got = scalar_product(
+        schur_principal(lam, (1,) * n, t),
+        MPoly.monomial(t, {t.x_index(i + 1): e for i, e in enumerate(v) if e}))
+    delta = tuple(range(n - 1, -1, -1))
+    u = tuple(x + d for x, d in zip(v, delta))
+    ref = tuple(x + d for x, d in zip(lam, delta))
+    if sorted(u, reverse=True) == list(ref) and len(set(u)) == n:
+        w = Permutation(tuple(ref.index(x) + 1 for x in u))
+        want = IntPoly.const(w.sign())
+    else:
+        want = IntPoly()
+    return str(got), str(want)
+
+
+def verify_hook_content(lam, a: int):
+    lam = tuple(lam)
+    return str(schur_onevar_value(lam, a)), str(hook_content(lam, a))

@@ -219,14 +219,6 @@ class IntPoly:
         r._c = out
         return r
 
-    def subst_qpower(self, k: int) -> "IntPoly":
-        """Substitute q -> q**k (k may be negative)."""
-        r = IntPoly.__new__(IntPoly)
-        r._c = {e * k: c for e, c in self._c.items()}
-        if k == 0:
-            return IntPoly.const(sum(self._c.values()))
-        return r
-
     # -- text form ---------------------------------------------------------
 
     def __str__(self):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -8,7 +9,13 @@ import pytest
 import dysonct.cli as cli
 import dysonct.identities as identities
 from dysonct.cli import RunConfig, main, run
-from dysonct.identities import VerifyReport
+
+
+def _register(monkeypatch, name, cases, checker):
+    """Adds the grid ``name`` of the given params, checked by ``checker``."""
+    monkeypatch.setitem(cli.REGISTRY, name,
+                        lambda cfg: [(name, p) for p in cases])
+    monkeypatch.setattr(identities, "verify_" + name, checker, raising=False)
 
 
 class TestVerifyCommand:
@@ -80,6 +87,16 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert cli.JOBS_ENV in captured.err
+
+    @pytest.mark.parametrize("field, value, flag", [
+        ("n", -1, "--n"), ("n", 0, "--n"), ("a_max", -1, "--a-max"),
+        ("m_max", -1, "--m-max"), ("sum_max", -3, "--sum-max"),
+        ("jobs", -2, "--jobs"), ("jobs", 0, "--jobs"),
+        ("budget_ms", -1, "--budget-ms"), ("budget_ms", 0, "--budget-ms"),
+    ])
+    def test_run_rejects_out_of_range_config(self, field, value, flag):
+        with pytest.raises(ValueError, match=f"^{flag} must be at least"):
+            run(RunConfig("q-dyson", **{"n": 2, "a_max": 1, field: value}))
 
     def test_zero_bounds_are_valid(self, capsys):
         code = main(["verify", "q-dyson", "--n", "1", "--a-max", "0",
@@ -160,14 +177,12 @@ class TestParallelism:
     def test_budget_timeout_status(self, monkeypatch):
         # every case needs far more than its budget; a real grid cannot
         # promise that for a 1 ms budget (poincare a=(1,1,1) takes about 1 ms)
-        def enum(cfg):
-            return [{"case": i} for i in range(3)]
-
-        def sleepy(p):
+        def sleepy(case):
             time.sleep(5.0)
-            return VerifyReport("sleepy", p, "1", "1", True, 0)
+            return "1", "1"
 
-        monkeypatch.setitem(cli.REGISTRY, "sleepy", (enum, sleepy))
+        _register(monkeypatch, "sleepy", [{"case": i} for i in range(3)],
+                  sleepy)
         code, records = run(RunConfig("sleepy", budget_ms=1))
         assert code == 0  # timeouts are not mismatches
         assert [r["status"] for r in records] == ["timeout"] * 3
@@ -192,14 +207,12 @@ class TestParallelism:
     def test_budget_each_case_timed_from_its_own_start(self, monkeypatch):
         # the second case overruns its own budget but would finish within
         # a budget started when the first case's wait ends
-        def enum(cfg):
-            return [{"sleep": 5.0}, {"sleep": 1.6}, {"sleep": 0.0}]
+        def sleepy(sleep):
+            time.sleep(sleep)
+            return "1", "1"
 
-        def sleepy(p):
-            time.sleep(p["sleep"])
-            return VerifyReport("sleepy", p, "1", "1", True, 0)
-
-        monkeypatch.setitem(cli.REGISTRY, "sleepy", (enum, sleepy))
+        _register(monkeypatch, "sleepy",
+                  [{"sleep": 5.0}, {"sleep": 1.6}, {"sleep": 0.0}], sleepy)
         start = time.monotonic()
         code, records = run(RunConfig("sleepy", jobs=2, budget_ms=1000))
         assert time.monotonic() - start < 4
@@ -207,13 +220,13 @@ class TestParallelism:
         assert [r["status"] for r in records] == ["timeout", "timeout", "ok"]
 
 
-def _stub_runner(p):
+def _verify_stub(case=None, exit=False, sleep=0.0):
     """Exits the worker, sleeps or reports the pid of its process."""
-    if p.get("exit"):
+    if exit:
         os._exit(3)
-    time.sleep(p.get("sleep", 0.0))
+    time.sleep(sleep)
     pid = str(os.getpid())
-    return VerifyReport("stub", p, pid, pid, True, 0)
+    return pid, pid
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -222,10 +235,8 @@ class TestWorkers:
     @pytest.fixture
     def stub(self, monkeypatch):
         """Registers the grid "stub" with the given cases."""
-        def register(cases):
-            monkeypatch.setitem(cli.REGISTRY, "stub",
-                                (lambda cfg: cases, _stub_runner))
-        return register
+        return lambda cases: _register(monkeypatch, "stub", cases,
+                                       _verify_stub)
 
     @pytest.mark.parametrize("budget_ms", [None, 60000])
     def test_workers_are_reused(self, stub, budget_ms):
@@ -273,6 +284,73 @@ class TestWorkers:
         _, records = run(RunConfig("stub", jobs=2, budget_ms=budget_ms))
         assert [r["status"] for r in records] == [status, "ok", "ok"]
         assert multiprocessing.active_children() == []
+
+
+# sha256 of the text report of each identity's default grid (--n 3 --a-max 2
+# --m-max 2) with its exit code, so that the reports stay byte-identical
+DEFAULT_GRID_DIGESTS = {
+    "bg-alternating": (0, "007bb038c2643818c03e740c8d18ecd6db0677d16f76f80e90681208acd70764"),
+    "bg-general": (0, "f71220c6753f6813111b4554d261e3a81a27a3fc8123a94678aae8eac11abd3a"),
+    "hook-content": (0, "11d8b370c2457a88deb8418f7bfdd1bf4bf97121e3d74d2c3cf353caef8f9cf2"),
+    "interp-closed": (0, "2669280eb5ae304c96e3249be1e86c95c9856502dfb5729a38b0b13042a64d39"),
+    "interp-dyson": (0, "d70ecaf8501362b52107c34ae4b6884272bbf01f9fafa385ba3fa30f07eb26f7"),
+    "interp-sills": (0, "7a1fe4514aafd8f210472d9a91d9a20a7424db1e5025c5192a5b68a7c678a516"),
+    "kadell": (0, "ab8e7ed814fa4f2caadba0b8ff1a3348c708960e5c1fde4fa9baff877cf21609"),
+    "kadell-t": (0, "e9b5fd714fddbd9c4a7ac7480e0487fad323867bc0f096ede85dcc41fc91ba02"),
+    "lxz": (0, "6a7b6d9a65f63ca26c9ff9c978c6e417ea721d5e9ac581a61443b69602db3f08"),
+    "poincare": (0, "a54978c114b582c80fa6d7ea0f7ec701fd25c5dfe99c0de064fd432195c48274"),
+    "poincare-equal": (0, "f3b633d36908544b537835068b22553fb02012e32e8275ae971eafe16d65f228"),
+    "prop-kappa": (0, "0da4854e576ff683a4ccd149e29d441bb1d805624d90cdb5aa851fa8ea49f300"),
+    "prop-vnu": (0, "91e7efb709839718fc551c2ce9a52df9422d180003ad26f038b1e2f66a27c2d0"),
+    "prop-zero": (0, "593bdb8cac064ef27fe527551dfe6a70c6a89509dbed736d8947b73e013146a3"),
+    "q-dyson": (0, "7e619ba69bd3ae1035e508692065ad8717f5413920960313365bfb5d08280bcc"),
+    "scalar-kkhat": (0, "3de9c079d141cc9530731cbfc4d20ffa18e406f6c45fab11da211cd57c16d45f"),
+    "schur-monomial": (0, "9a783bc344cbb6ee2dda569a765e81c4eb0b02a08b17adb1f667fc7359cfd28d"),
+    "sills": (0, "ab298e7c7d110a60da0b8547fd49dd847c85c8997c5cc50583bb82444f90a427"),
+    "strict": (0, "21485813624621e5a1a08f97f79748ca18fd2da962b3aff2b50fb6560ffbd259"),
+    "tournament": (0, "904a9ee4e97c53905214c13faabb03c74e8a3c66c53a2ddc5390e43644e0241d"),
+    "usum": (0, "b93d7a2e7eb800587933c9b76c52f75432ac8655e834115455b31ff2f0ec96b6"),
+    "wtd": (0, "1caf412d869f645d5820eaaeecb8d580838b7dd305055cad5e2890d822c99951"),
+}
+
+
+@pytest.mark.parametrize("identity", sorted(cli.REGISTRY))
+def test_default_grid_report_is_pinned(identity, capsys):
+    code = main(["verify", identity])
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == DEFAULT_GRID_DIGESTS[identity]
+
+
+class TestFailedCases:
+    @pytest.mark.parametrize("grid, identity, first", [
+        ("tournament", "tournament", "tournament a=[1, 1] edges=1>2"),
+        ("usum", "usum-k", "usum-k k=1 n=2"),
+    ])
+    def test_failed_case_keeps_its_case_text(self, grid, identity, first,
+                                             monkeypatch, capsys):
+        argv = ["verify", grid, "--n", "2", "--a-max", "1"]
+        assert main(argv) == 0
+        passing = capsys.readouterr().out.splitlines()
+
+        def broken(**params):
+            raise AssertionError("broken checker")
+
+        monkeypatch.setattr(identities,
+                            "verify_" + identity.replace("-", "_"), broken)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        failing = captured.out.splitlines()
+        assert f"FAIL {first} | lhs=error: broken checker rhs=" in failing
+        errors = 0
+        for good, bad in zip(passing, failing, strict=True):
+            case = good[len("PASS "):good.index(" | ")]
+            if case.startswith(identity + " "):
+                errors += 1
+                assert bad == f"FAIL {case} | lhs=error: broken checker rhs="
+            else:
+                assert bad == good
+        assert f" 0 FAIL, {errors} ERROR, " in captured.err
 
 
 class TestCtCommand:

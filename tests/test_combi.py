@@ -176,6 +176,13 @@ class TestTournament:
             count = sum(1 for t in all_tournaments(n) if t.is_transitive())
             assert count == math.factorial(n)
 
+    def test_serialize_round_trip(self):
+        for t in all_tournaments(3):
+            assert Tournament.parse(3, t.serialize()) == t
+        t = Tournament(3, {(1, 2), (2, 3), (3, 1)})
+        assert t.serialize() == "1>2 2>3 3>1"
+        assert Tournament.parse(3, "3>1,1>2 2>3") == t
+
 
 class TestZeroOneMatrix:
     def test_worked_example(self):
