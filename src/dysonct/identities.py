@@ -9,6 +9,10 @@ which raises NonExactDivision rather than drifting silently.  Sums of such
 ratios go over a common cyclotomic denominator (qpoly.cyclo_sum) and raise
 the same way when the sum is not a polynomial.
 
+The cleared u-sum left side is a path sum over the subset lattice, not
+one expanded product per permutation (see the u-sum section); the tests
+keep the per-permutation expansion as its reference.
+
 Each identity has one checker, ``verify_<identity>``: the identity's name
 with ``-`` turned into ``_``.  It takes one case's params as keyword
 arguments, exactly as the report line prints them (lists, integers, and
@@ -31,7 +35,7 @@ from .combi import (
 )
 from .mpoly import (
     Kernel, MPoly, VarTable, bg_alternating_kernel, bg_kernel, dyson_kernel,
-    mul_coeff_x, product, table_kernel, table_u, table_x, tau_kernel,
+    mul_coeff_x, table_kernel, table_u, table_x, tau_kernel,
     tkernel, tournament_kernel, tzero_kernel,
 )
 from .qpoly import Cyclo, IntPoly, cyclo_sum, qbinom, qmultinom
@@ -271,65 +275,98 @@ def rhs_strict(lam, a, w: Permutation) -> IntPoly:
 
 
 # -- u-sum identities ----------------------------------------------------------------
+#
+# Clearing the denominator prod over nonempty A of (1 - u_A) turns the
+# u-sum identity into a polynomial one.  Its left side sums, over the
+# permutations w of [n], prod_i (1 - u_{w(i)}) * u_{R(w)} times the
+# (1 - u_A) of every nonempty A off the chain of prefix sets of w.  Each
+# factor depends only on one step of that chain: appending x after the
+# prefix set C - x contributes (1 - u_x), x's share prod_{c in C - x, c > x}
+# u_c of u_{R(w)}, and the (1 - u_A) with x in A, A a proper subset of C
+# (each off-chain A is charged to the first prefix set that contains it).
+# So the left side is the path sum G([n]) over the subset lattice,
+#
+#     G(empty) = 1,   G(C) = sum_{x in C} G(C - x) * step(C, x),
+#
+# which takes n * 2^(n-1) steps instead of n! products.  Every step and
+# both right sides multiply their binomials into one accumulator in turn:
+# their products rarely collide, so a balanced schedule only makes the
+# last merges large x large.
 
 def _u_subset_monomial(table, subset):
     return MPoly.monomial(table, {table.u_index(i): 1 for i in subset})
 
 
-def _u_chain(w: Permutation):
-    chain = []
-    seen = []
-    for i in range(1, w.n + 1):
-        seen.append(w(i))
-        chain.append(frozenset(seen))
-    return chain
+def _u_binomial(table, subset):
+    return MPoly.one(table) - _u_subset_monomial(table, subset)
 
 
-def _usum_cleared_lhs(table, subsets, perms) -> MPoly:
-    """Sum over ``perms`` of prod_i (1 - u_{w(i)}) * u_{R(w)} times the
-    (1 - u_A) factors of the subsets A off the chain of w."""
-    n = table.u_size
-    lhs = MPoly.zero(table)
-    for w in perms:
-        chain = set(_u_chain(w))
-        term = MPoly.one(table)
-        for i in range(1, n + 1):
-            term = term * (MPoly.one(table) - _u_subset_monomial(table, {w(i)}))
-        for _, j in w.recording_set():
-            term = term * _u_subset_monomial(table, {j})
-        for sub in subsets:
-            if sub not in chain:
-                term = term * (MPoly.one(table) - _u_subset_monomial(table, sub))
-        lhs = lhs + term
-    return lhs
+def _fold_binomials(acc, table, subsets):
+    """acc * prod over ``subsets`` of (1 - u_A), one factor at a time."""
+    for sub in subsets:
+        acc = acc * _u_binomial(table, sub)
+    return acc
+
+
+def _usum_step(table, acc, C, x):
+    """``acc`` times the factors of appending x after the prefix set C - x."""
+    rest = sorted(C - {x})
+    acc = acc * _u_subset_monomial(table, [c for c in rest if c > x])
+    acc = acc * _u_binomial(table, {x})
+    return _fold_binomials(acc, table, [
+        frozenset((x,) + b) for r in range(len(rest))
+        for b in itertools.combinations(rest, r)])
+
+
+def _usum_path_sum(table, ground) -> MPoly:
+    """G(ground): the sum over the orders w of ``ground`` of the cleared
+    u-sum terms, built one level of the subset lattice at a time."""
+    ground = sorted(ground)
+    level = {frozenset(): MPoly.one(table)}
+    for r in range(1, len(ground) + 1):
+        nxt = {}
+        for C in map(frozenset, itertools.combinations(ground, r)):
+            total = MPoly.zero(table)
+            for x in C:
+                total = total + _usum_step(table, level[C - {x}], C, x)
+            nxt[C] = total
+        level = nxt
+    return level[frozenset(ground)]
+
+
+def _nonempty_subsets(n: int) -> list:
+    return [frozenset(s) for r in range(1, n + 1)
+            for s in itertools.combinations(range(1, n + 1), r)]
+
+
+def _check_usum_n(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"the u-sum needs n >= 1, got {n}")
 
 
 def usum_cleared_sides(n: int):
     """Numerators of both sides of the full u-sum identity after clearing
     the denominator prod over nonempty subsets A of (1 - u_A)."""
+    _check_usum_n(n)
     table = table_u(n)
-    subsets = [frozenset(s) for r in range(1, n + 1)
-               for s in itertools.combinations(range(1, n + 1), r)]
-    lhs = _usum_cleared_lhs(table, subsets, Permutation.all_perms(n))
-    rhs = product([MPoly.one(table) - _u_subset_monomial(table, sub)
-                   for sub in subsets], table)
+    lhs = _usum_path_sum(table, range(1, n + 1))
+    rhs = _fold_binomials(MPoly.one(table), table, _nonempty_subsets(n))
     return lhs, rhs
 
 
 def usum_k_cleared_sides(n: int, k: int):
-    """Cleared numerators for the w(n) = k refinement of the u-sum."""
+    """Cleared numerators for the w(n) = k refinement of the u-sum: the
+    path sum over the orders of [n] - k, then the step appending k last."""
+    _check_usum_n(n)
     if not 1 <= k <= n:
         raise ValueError("k out of range")
     table = table_u(n)
-    subsets = [frozenset(s) for r in range(1, n + 1)
-               for s in itertools.combinations(range(1, n + 1), r)]
     full = frozenset(range(1, n + 1))
-    lhs = _usum_cleared_lhs(table, subsets, [
-        w for w in Permutation.all_perms(n) if w(n) == k])
-    rhs = _u_subset_monomial(table, set(range(k + 1, n + 1)))
-    rhs = rhs * (MPoly.one(table) - _u_subset_monomial(table, {k}))
-    rhs = rhs * product([MPoly.one(table) - _u_subset_monomial(table, sub)
-                         for sub in subsets if sub != full], table)
+    lhs = _usum_step(table, _usum_path_sum(table, full - {k}), full, k)
+    rhs = (_u_subset_monomial(table, range(k + 1, n + 1))
+           * _u_binomial(table, {k}))
+    rhs = _fold_binomials(rhs, table,
+                          [sub for sub in _nonempty_subsets(n) if sub != full])
     return lhs, rhs
 
 

@@ -578,6 +578,11 @@ def product(factors, table: VarTable) -> MPoly:
     keeps intermediate supports small for the kernel products; ties break on
     insertion order so the result is reproducible (the value is of course
     schedule-independent).
+
+    It does not suit binomials whose products rarely collide: the last
+    merges are then large x large.  For the u-sum's 31 factors (1 - u_A)
+    at n = 5 (145,686 terms), multiplying them into one accumulator in
+    turn took 0.7 s against 13.8 s through this schedule, about 20x less.
     """
     factors = list(factors)
     if not factors:

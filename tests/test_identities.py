@@ -12,12 +12,13 @@ from dysonct.identities import (
     poincare_W, poincare_single_product, reduction_check, rhs_bg_alternating,
     rhs_bg_general, rhs_kadell, rhs_kadell_t, rhs_lxz,
     rhs_qdyson, rhs_sills, rhs_strict, rhs_tournament, solve_column_relation,
-    usum_cleared_sides, verify_bg_general, verify_kadell, verify_kadell_t,
-    verify_lxz, verify_poincare, verify_poincare_equal, verify_prop_kappa,
-    verify_prop_vnu, verify_prop_zero, verify_q_dyson, verify_sills,
-    verify_strict, verify_tournament, verify_usum, verify_usum_k, verify_wtd,
+    usum_cleared_sides, usum_k_cleared_sides, verify_bg_general,
+    verify_kadell, verify_kadell_t, verify_lxz, verify_poincare,
+    verify_poincare_equal, verify_prop_kappa, verify_prop_vnu,
+    verify_prop_zero, verify_q_dyson, verify_sills, verify_strict,
+    verify_tournament, verify_usum, verify_usum_k, verify_wtd,
 )
-from dysonct.mpoly import table_kernel, tkernel
+from dysonct.mpoly import MPoly, product, table_kernel, table_u, tkernel
 from dysonct.qpoly import IntPoly, qbinom, qmultinom
 
 
@@ -220,6 +221,36 @@ class TestStrict:
             rhs_strict((2, 2), (1, 1), Permutation.identity(2))
 
 
+def _u_binomial(table, subset):
+    return MPoly.one(table) - MPoly.monomial(
+        table, {table.u_index(i): 1 for i in subset})
+
+
+def _usum_subsets(n):
+    return [frozenset(s) for r in range(1, n + 1)
+            for s in itertools.combinations(range(1, n + 1), r)]
+
+
+def _usum_lhs_reference(n, perms):
+    """The cleared u-sum LHS, one expanded term per permutation:
+    prod_i (1 - u_{w(i)}) * u_{R(w)} times the (1 - u_A) of every nonempty
+    A off the chain of prefix sets of w."""
+    table = table_u(n)
+    lhs = MPoly.zero(table)
+    for w in perms:
+        chain = {frozenset(w.word[:i]) for i in range(1, n + 1)}
+        term = MPoly.one(table)
+        for i in range(1, n + 1):
+            term = term * _u_binomial(table, {w(i)})
+        for _, j in w.recording_set():
+            term = term * MPoly.monomial(table, {table.u_index(j): 1})
+        for sub in _usum_subsets(n):
+            if sub not in chain:
+                term = term * _u_binomial(table, sub)
+        lhs = lhs + term
+    return lhs
+
+
 class TestUSum:
     def test_trivial(self):
         lhs, rhs = usum_cleared_sides(1)
@@ -230,6 +261,49 @@ class TestUSum:
             assert holds(verify_usum(n))
             for k in range(1, n + 1):
                 assert holds(verify_usum_k(n, k))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_path_sum_matches_per_permutation_reference(self, n):
+        lhs, _ = usum_cleared_sides(n)
+        assert lhs == _usum_lhs_reference(n, Permutation.all_perms(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_refined_path_sum_matches_reference(self, n):
+        for k in range(1, n + 1):
+            lhs, _ = usum_k_cleared_sides(n, k)
+            assert lhs == _usum_lhs_reference(
+                n, [w for w in Permutation.all_perms(n) if w(n) == k]), k
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_folded_rhs_matches_product(self, n):
+        table = table_u(n)
+        subsets = _usum_subsets(n)
+        _, rhs = usum_cleared_sides(n)
+        assert rhs == product([_u_binomial(table, s) for s in subsets], table)
+        full = frozenset(range(1, n + 1))
+        for k in range(1, n + 1):
+            _, rhs = usum_k_cleared_sides(n, k)
+            upper = MPoly.monomial(
+                table, {table.u_index(i): 1 for i in range(k + 1, n + 1)})
+            rest = [_u_binomial(table, s) for s in subsets if s != full]
+            assert rhs == (upper * _u_binomial(table, {k})
+                           * product(rest, table)), k
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_n_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match="n >= 1"):
+            usum_cleared_sides(n)
+        with pytest.raises(ValueError, match="n >= 1"):
+            verify_usum(n)
+        with pytest.raises(ValueError, match="n >= 1"):
+            usum_k_cleared_sides(n, 1)
+        with pytest.raises(ValueError, match="n >= 1"):
+            verify_usum_k(n, 1)
+
+    def test_k_out_of_range_rejected(self):
+        for k in (0, 4):
+            with pytest.raises(ValueError, match="k out of range"):
+                usum_k_cleared_sides(3, k)
 
 
 class TestMatrixPropositions:
