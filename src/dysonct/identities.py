@@ -35,7 +35,7 @@ from .combi import (
 )
 from .mpoly import (
     Kernel, MPoly, VarTable, bg_alternating_kernel, bg_kernel, dyson_kernel,
-    mul_coeff_x, table_kernel, table_u, table_x, tau_kernel,
+    kernel_factors, table_kernel, table_u, table_x, tau_kernel,
     tkernel, tournament_kernel, tzero_kernel,
 )
 from .qpoly import Cyclo, IntPoly, cyclo_sum, qbinom, qmultinom
@@ -185,18 +185,18 @@ def D_vlambda(v, lam, a, t_mode: str = "qa",
     if len(v) != n:
         raise ValueError("v and a must share a length")
     if t_mode == "symbolic":
+        family = "t"
         if table is None:
             table = table_kernel(n)
-        kern = tkernel(a, table)
     elif t_mode == "qa":
+        family = "dyson"
         if table is None:
             table = table_x(n)
-        kern = dyson_kernel(a, table)
     else:
         raise ValueError(f"unknown t_mode {t_mode!r}")
-    # the Schur factor joins one half, so the full kernel is never built
-    low, high = kern.halves
-    out = mul_coeff_x(low, high * schur_principal(lam, a, table), v)
+    # the Schur factor is one more factor, so the full kernel is never built
+    out = Kernel(kernel_factors(family, a, table)
+                 + [schur_principal(lam, a, table)], table).coeff_x(v)
     if weight(v) != sum(lam):
         if not out.is_zero:
             raise AssertionError("homogeneity violated: nonzero CT at |v| != |la|")

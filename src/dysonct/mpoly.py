@@ -22,20 +22,20 @@ This module owns the packed format: other modules go through exponent
 vectors and ``monomial_key`` and never shift or mask a packed key.
 
 MPoly values are immutable once built; every operation returns a fresh
-polynomial.  That makes it safe for a polynomial to memoise its x-bucket
-index, built on the first ``mul_coeff_x`` that reads it: its packed keys
-grouped by their x-part, each group a list of keys whose coefficients stay
-in the term map, so the index adds no integers but the x-parts.  A kernel
-half is read at many x-vectors, and each read after the first only joins
-the two indexes.
+polynomial.
+
+A ``Kernel`` and ``mul_coeff_x`` multiply and join q-packed polynomials,
+which fold each coefficient polynomial in q into one integer (a Kronecker
+substitution, as in ``qpoly.Cyclo.expand``), so that their loops run over
+the monomials in x and the auxiliary variables only.  The section on
+q-packed polynomials below defines the format.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 
-from .qpoly import IntPoly
+from .qpoly import IntPoly, balanced_digits
 
 _W = 32
 _B = 1 << (_W - 1)
@@ -178,12 +178,11 @@ def table_u(n: int) -> VarTable:
 
 
 class MPoly:
-    __slots__ = ("table", "_terms", "_xbuckets")
+    __slots__ = ("table", "_terms")
 
     def __init__(self, table: VarTable, terms=None):
         self.table = table
         self._terms = {}
-        self._xbuckets = None
         if terms:
             for vec, c in terms:
                 if not c:
@@ -202,7 +201,6 @@ class MPoly:
         p = cls.__new__(cls)
         p.table = table
         p._terms = termdict
-        p._xbuckets = None
         return p
 
     @classmethod
@@ -235,16 +233,6 @@ class MPoly:
 
     def __len__(self):
         return len(self._terms)
-
-    def _x_buckets(self) -> dict:
-        """{x-part of the key: keys with that x-part}, built on first use."""
-        if self._xbuckets is None:
-            xm = self.table._xmask
-            groups: dict[int, list] = {}
-            for k in self._terms:
-                groups.setdefault(k & xm, []).append(k)
-            self._xbuckets = groups
-        return self._xbuckets
 
     def _vectors(self):
         """(exponent vector, coefficient) pairs in storage order."""
@@ -572,31 +560,15 @@ class MPoly:
 # -- products of many factors ----------------------------------------------------
 
 def product(factors, table: VarTable) -> MPoly:
-    """Multiply a list of MPoly factors.
+    """Multiply a list of MPoly factors into one accumulator in turn.
 
-    Always combines the two currently-smallest operands (term count), which
-    keeps intermediate supports small for the kernel products; ties break on
-    insertion order so the result is reproducible (the value is of course
-    schedule-independent).
-
-    It does not suit binomials whose products rarely collide: the last
-    merges are then large x large.  For the u-sum's 31 factors (1 - u_A)
-    at n = 5 (145,686 terms), multiplying them into one accumulator in
-    turn took 0.7 s against 13.8 s through this schedule, about 20x less.
+    This is the plain route, term by term; a ``Kernel`` reads coefficients
+    of a product without building it.
     """
-    factors = list(factors)
-    if not factors:
-        return MPoly.one(table)
-    heap = [(len(f), idx, f) for idx, f in enumerate(factors)]
-    heapq.heapify(heap)
-    counter = len(factors)
-    while len(heap) > 1:
-        _, _, f1 = heapq.heappop(heap)
-        _, _, f2 = heapq.heappop(heap)
-        p = f1 * f2
-        heapq.heappush(heap, (len(p), counter, p))
-        counter += 1
-    return heap[0][2]
+    out = MPoly.one(table)
+    for f in factors:
+        out = out * f
+    return out
 
 
 def complete_homogeneous(top: int, letters, table: VarTable) -> list:
@@ -612,39 +584,88 @@ def complete_homogeneous(top: int, letters, table: VarTable) -> list:
 
 
 def mul_coeff_x(p1: MPoly, p2: MPoly, v) -> MPoly:
-    """coeff_x(p1 * p2, v) without materialising the full product.
+    """coeff_x(p1 * p2, v) without materialising the full product: a read
+    of the two-factor ``Kernel``."""
+    return Kernel([p1, p2], p1.table).coeff_x(v)
 
-    Both operands' memoised x-bucket indexes are joined: each x-part of
-    one meets the single complementary x-part of the other, and only
-    those two groups are multiplied.
-    """
-    t = p1.table
-    if p2.table != t:
-        raise ValueError("variable tables differ")
-    xoff = t._xoff
-    vkey = xoff + t.x_shift(v)
-    want = vkey + xoff  # the x-parts of a matching pair sum to this
-    drop = t.off + vkey - xoff  # the offset and x^v leave the product key
-    b1, b2 = p1._x_buckets(), p2._x_buckets()
-    t1, t2 = p1._terms, p2._terms
-    if len(b1) > len(b2):
-        b1, b2, t1, t2 = b2, b1, t2, t1
-    out: dict[int, int] = {}
-    for x1, keys1 in b1.items():
-        keys2 = b2.get(want - x1)
-        if keys2 is None:
-            continue
-        for k1 in keys1:
-            c1 = t1[k1]
-            base = k1 - drop
-            for k2 in keys2:
-                nk = base + k2
-                s = out.get(nk, 0) + c1 * t2[k2]
+
+# -- q-packed polynomials -----------------------------------------------------------
+#
+# A q-packed polynomial is a pair (terms, low).  Its terms map a packed key
+# whose q field is cleared to one integer: that key's coefficient, a
+# polynomial in q divided by q^low, evaluated at q = 2^b.  low is the
+# lowest q power of the whole operand, so every such polynomial has
+# nonnegative exponents, and multiplying two packed polynomials adds keys,
+# multiplies integers and adds lows.  A product's coefficients are bounded
+# by the product of its factors' l1 norms, and b is chosen one bit above
+# that bound, so ``qpoly.balanced_digits`` reads every coefficient back.
+
+
+def _fold(factors, b: int, off: int) -> tuple:
+    """The product of MPoly factors as a q-packed polynomial, multiplied
+    into one accumulator in list order."""
+    acc, low = {off: 1}, 0
+    for f in factors:
+        terms = f._terms
+        if not terms:
+            return {}, 0
+        lo = min([k & _FIELD for k in terms]) - _B
+        low += lo
+        out = None
+        for k2, c2 in terms.items():
+            e = (k2 & _FIELD) - _B
+            d = k2 - e - off
+            c2 <<= b * (e - lo)
+            if out is None:  # the first term fills ``out``
+                out = (acc.copy() if d == 0 and c2 == 1
+                       else {k1 + d: c1 * c2 for k1, c1 in acc.items()})
+                continue
+            get = out.get
+            for k1, c1 in acc.items():
+                k = k1 + d
+                s = get(k, 0) + c1 * c2
                 if s:
-                    out[nk] = s
+                    out[k] = s
                 else:
-                    del out[nk]
-    return MPoly._make(t, out)
+                    del out[k]
+        acc = out
+    return acc, low
+
+
+def _unpack(terms: dict, low: int, b: int, table: VarTable) -> MPoly:
+    out = {}
+    for k, value in terms.items():
+        for e, c in balanced_digits(value, b, low).items():
+            out[k + e] = c
+    return MPoly._make(table, out)
+
+
+def _x_index(packed, table: VarTable) -> dict:
+    """{x-part: [(key, value), ...]} over the terms of ``packed``."""
+    xm = table._xmask
+    index: dict[int, list] = {}
+    for k, c in packed[0].items():
+        index.setdefault(k & xm, []).append((k, c))
+    return index
+
+
+def _join(small, large, index, table: VarTable, v, b: int) -> MPoly:
+    """coeff_x(v) of the product of two q-packed polynomials; ``index`` is
+    ``_x_index`` of ``large``.  Each key of ``small`` meets only the keys of
+    ``large`` whose x-part complements its own to x^v."""
+    shift = table.x_shift(v)
+    xm = table._xmask
+    want = table._xoff + table._xoff + shift
+    drop = table.off + shift
+    acc: dict[int, int] = {}
+    for k1, c1 in small[0].items():
+        group = index.get(want - (k1 & xm))
+        if group:
+            base = k1 - drop
+            for k2, c2 in group:
+                k = base + k2
+                acc[k] = acc.get(k, 0) + c1 * c2
+    return _unpack(acc, small[1] + large[1], b, table)
 
 
 # -- kernels ----------------------------------------------------------------------
@@ -750,24 +771,38 @@ def kernel_factors(family: str, a, table: VarTable, *, m: int = 0,
 
 
 class Kernel:
-    """A product of binomial factors, held as its two halves expanded
-    separately (``halves``).
+    """A product of factors, held as two q-packed halves.
 
-    A coefficient is read by matching the halves through ``mul_coeff_x``,
-    so the full product is built only by ``expand``.
+    Each half folds its part of the factor list (the first half and the
+    rest) into one accumulator in list order.  ``kernel_factors`` emits a
+    pair's binomials together and they share one packed x-key, so a pair's
+    Pochhammer symbols collapse onto a_i + a_j + 1 keys before the next
+    pair multiplies in.  ``coeff_x`` joins the halves with one dict lookup
+    per key of the smaller half, into an x-part index of the larger half
+    kept on the kernel.  Only ``expand`` builds the full product.
     """
 
-    __slots__ = ("table", "halves")
+    __slots__ = ("table", "_b", "_small", "_large", "_index")
 
     def __init__(self, factors, table: VarTable):
+        bound = 1
+        for f in factors:
+            if f.table is not table and f.table != table:
+                raise ValueError("variable tables differ")
+            # a zero factor empties its half; each half must still decode
+            bound *= sum(map(abs, f._terms.values())) or 1
+        b = self._b = bound.bit_length() + 1
         half = len(factors) // 2
+        halves = (_fold(factors[:half], b, table.off),
+                  _fold(factors[half:], b, table.off))
         self.table = table
-        self.halves = (product(factors[:half], table),
-                       product(factors[half:], table))
+        self._small, self._large = sorted(halves, key=lambda h: len(h[0]))
+        self._index = _x_index(self._large, table)
 
     def coeff_x(self, v) -> MPoly:
         """Coefficient of x^v; x-exponents are projected back to zero."""
-        return mul_coeff_x(*self.halves, v)
+        return _join(self._small, self._large, self._index, self.table, v,
+                     self._b)
 
     def ct_x(self) -> MPoly:
         """The constant term in x."""
@@ -775,7 +810,9 @@ class Kernel:
 
     def expand(self) -> MPoly:
         """The full product of the factors."""
-        return self.halves[0] * self.halves[1]
+        small, large = (_unpack(*h, self._b, self.table)
+                        for h in (self._small, self._large))
+        return small * large
 
 
 def dyson_kernel(a, table: VarTable | None = None) -> Kernel:

@@ -542,10 +542,33 @@ def cyclotomic(d: int) -> IntPoly:
 
 
 @functools.lru_cache(maxsize=None)
-def _cyclotomic_size(d: int) -> tuple:
-    """(degree, l1 norm) of Phi_d."""
-    phi = cyclotomic(d)
-    return phi.degree(), sum(abs(c) for c in phi._c.values())
+def _cyclotomic_norm(d: int) -> int:
+    """The l1 norm of Phi_d."""
+    return sum(abs(c) for c in cyclotomic(d)._c.values())
+
+
+def balanced_digits(value: int, b: int, low: int = 0) -> dict:
+    """{low + i: d_i} over the nonzero balanced base-2^b digits d_i of value.
+
+    value = sum_i d_i 2^(b i) with every -2^(b-1) <= d_i < 2^(b-1); a digit
+    read as >= 2^(b-1) stands for itself minus 2^b, with a carry into the
+    next one.  This inverts evaluation at q = 2^b, shifted by q^low, for
+    every Laurent polynomial whose coefficients lie in that range.
+    """
+    if b < 2:  # digits in [-1, 1) cannot spell a positive value
+        raise ValueError("balanced digits need b >= 2")
+    mask, half, base = (1 << b) - 1, 1 << (b - 1), 1 << b
+    out = {}
+    e = low
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= base
+        if digit:
+            out[e] = digit
+        value = (value - digit) >> b
+        e += 1
+    return out
 
 
 class Cyclo:
@@ -682,26 +705,20 @@ class Cyclo:
         if left:
             raise NonExactDivision(
                 f"not a polynomial: Phi_d stays in the denominator for d in {left}")
-        degree, bound = 0, 1
+        bound = 1
         for d, m in self.mult.items():
-            deg_d, norm_d = _cyclotomic_size(d)
-            degree += m * deg_d
-            bound *= norm_d ** m
+            bound *= _cyclotomic_norm(d) ** m
         b = bound.bit_length() + 1
-        value = self.sign
-        for d, m in self.mult.items():
-            value *= sum(c << (e * b) for e, c in cyclotomic(d)._c.items()) ** m
-        mask, half, base = (1 << b) - 1, 1 << (b - 1), 1 << b
-        out = {}
-        for e in range(self.shift, self.shift + degree + 1):
-            digit = value & mask
-            if digit >= half:
-                digit -= base
-            if digit:
-                out[e] = digit
-            value = (value - digit) >> b
+        # a balanced product tree keeps the two operands of each big-integer
+        # multiply of similar size
+        values = [self.sign] + [
+            sum(c << (e * b) for e, c in cyclotomic(d)._c.items()) ** m
+            for d, m in self.mult.items()]
+        while len(values) > 1:
+            values = [values[i] * values[i + 1] if i + 1 < len(values)
+                      else values[i] for i in range(0, len(values), 2)]
         r = IntPoly.__new__(IntPoly)
-        r._c = out
+        r._c = balanced_digits(values[0], b, self.shift)
         return r
 
     def __repr__(self):

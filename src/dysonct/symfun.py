@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .mpoly import MPoly, VarTable, complete_homogeneous, product, table_x
+from .mpoly import Kernel, MPoly, VarTable, complete_homogeneous, table_x
 from .qpoly import Cyclo, IntPoly
 
 
@@ -215,7 +215,7 @@ def scalar_product(f: MPoly, g: MPoly) -> IntPoly:
         for j in range(i + 1, t.nx + 1):
             factors.append(MPoly.one(t) - MPoly.monomial(
                 t, {t.x_index(i): 1, t.x_index(j): -1}))
-    return product(factors, t).ct_x().to_intpoly()
+    return Kernel(factors, t).ct_x().to_intpoly()
 
 
 # -- hook-content cross-check oracle -----------------------------------------------

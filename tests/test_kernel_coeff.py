@@ -1,8 +1,9 @@
 """Differential test: meet-in-the-middle coefficients against full expansion.
 
-A ``Kernel`` expands two halves of a factor list and joins them on the
-x-block.  The reference here multiplies every factor out with ``product``
-and then extracts with ``coeff_x``; it is kept only in this test.
+A ``Kernel`` folds two halves of a factor list into q-packed polynomials
+(each coefficient polynomial in q held as one integer) and joins them on
+the x-block.  The reference here multiplies every factor out term by term
+with ``product`` and then extracts with ``coeff_x``.
 """
 
 import itertools
@@ -12,8 +13,8 @@ import pytest
 
 from dysonct.combi import all_tournaments
 from dysonct.mpoly import (
-    KERNEL_FAMILIES, Kernel, MPoly, kernel_factors, product, table_kernel,
-    table_tau, table_x,
+    KERNEL_FAMILIES, Kernel, MPoly, kernel_factors, mul_coeff_x, product,
+    table_kernel, table_tau, table_x,
 )
 from dysonct.symfun import schur_principal
 
@@ -47,9 +48,11 @@ def near_ct_vectors(n):
 
 
 def family_cases(family):
-    """(a, params, table) on small grids: n <= 3 and entries <= 2."""
+    """(a, params, table) on small grids: entries <= 2, and n <= 3, or
+    n <= 4 for the dyson, t and tzero kernels."""
     low = 0 if family == "dyson" else 1
-    for n in (1, 2, 3):
+    top = 4 if family in ("dyson", "t", "tzero") else 3
+    for n in range(1, top + 1):
         for a in itertools.product(range(low, 3), repeat=n):
             if family == "tau":
                 for m in (1, 2):
@@ -80,9 +83,9 @@ def test_kernel_coeff_matches_full_expansion(family):
 
 
 def test_repeated_extraction_in_shuffled_order():
-    # each half memoises its x-bucket index on the first extraction; later
-    # ones, from the same kernel or interleaved with other kernels on the
-    # same table, must read the right index
+    # each kernel keeps its own packed halves; reads from the same kernel,
+    # interleaved with other kernels on the same table, must each join
+    # their own halves
     rng = random.Random(2024)
     table = kernel_table("dyson", 3)
     kernels, fulls = [], []
@@ -119,6 +122,50 @@ def test_schur_augmented_lists(family):
                                 == reference_coeff(factors, table, v)), (a, lam, v)
 
 
+@pytest.mark.parametrize("last", [-2, 2])
+def test_digit_width_covers_the_l1_bound(last):
+    # constant factors reach the bound prod ||f||_1 = 2^(F+1) exactly; with
+    # last = 2 the product is the bound itself, which a digit width one bit
+    # short reads back as its negative
+    table = kernel_table("dyson", 2)
+    two = MPoly.monomial(table, {}, 2)
+    for F in range(11):
+        factors = [two] * F + [MPoly.monomial(table, {}, last)]
+        want = MPoly.monomial(table, {}, last * 2 ** F)
+        assert kernel_coeff(factors, table) == want, F
+        assert Kernel(factors, table).expand() == want, F
+        assert mul_coeff_x(product(factors[:-1], table), factors[-1],
+                           (0, 0)) == want, F
+
+
+def laurent_poly(table, rng, nterms=6):
+    """A random polynomial whose q exponents run from -6 to 1."""
+    terms = []
+    for _ in range(nterms):
+        vec = [rng.randrange(-2, 3) for _ in range(table.nvars)]
+        vec[0] = rng.randrange(-6, 2)
+        terms.append((tuple(vec), rng.randrange(-5, 6)))
+    return MPoly(table, terms)
+
+
+def test_negative_q_exponents():
+    # each operand's lowest q power is factored out before packing, so
+    # Laurent polynomials in q read back exactly
+    rng = random.Random(31)
+    negative = 0
+    for table in (table_x(2), table_kernel(2), table_tau(1, 1)):
+        for _ in range(15):
+            p1, p2, p3 = (laurent_poly(table, rng) for _ in range(3))
+            negative += min(vec[0] for vec, _ in p1.terms()) < 0
+            full2, full3 = p1 * p2, p1 * p2 * p3
+            kernel = Kernel([p1, p2, p3], table)
+            for v in itertools.product(range(-3, 4), repeat=table.nx):
+                assert mul_coeff_x(p1, p2, v) == full2.coeff_x(v), (table, v)
+                assert kernel.coeff_x(v) == full3.coeff_x(v), (table, v)
+            assert kernel.expand() == full3
+    assert negative > 30
+
+
 def test_symbolic_s_family_is_kept():
     # the tau kernel's coefficient still carries its s variables
     table = kernel_table("tau", 2, 2)
@@ -137,6 +184,11 @@ def test_degenerate_lists():
     one = kernel_factors("dyson", (1, 0), table)
     assert len(one) == 1
     assert kernel_coeff(one, table, (1, -1)) == reference_coeff(one, table, (1, -1))
+    # a zero factor empties its half, so every read and the product are zero
+    zero = [MPoly.zero(table)] + kernel_factors("dyson", (1, 1), table)
+    assert kernel_coeff(zero, table).is_zero
+    assert Kernel(zero, table).expand().is_zero
+    assert mul_coeff_x(zero[0], zero[1], (1, -1)).is_zero
 
 
 def test_unknown_family_and_preconditions():
