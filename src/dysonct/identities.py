@@ -5,9 +5,12 @@ brute-force expansion and constant-term extraction, and a right-hand side
 assembled from q-factorial closed forms.  Every closed form is a ratio
 of products of (1 - q^k), built as a cyclotomic product (qpoly.Cyclo) and
 expanded once: a wrong formula leaves some Phi_d with a negative exponent,
-which raises NonExactDivision rather than drifting silently.  Sums of such
-ratios go over a common cyclotomic denominator (qpoly.cyclo_sum) and raise
-the same way when the sum is not a polynomial.
+which raises NonExactDivision rather than drifting silently.  The Sills
+and LXZ right sides are sums of such ratios, W_s times a sign and a
+q-power, whose W_s depend only on a: each a puts them over one common
+cyclotomic denominator (qpoly.CycloBasis), and each case then costs one
+exact division, which raises the same way when the sum is not a
+polynomial.
 
 The cleared u-sum left side is a path sum over the subset lattice, not
 one expanded product per permutation (see the u-sum section); the tests
@@ -38,7 +41,7 @@ from .mpoly import (
     kernel_factors, table_kernel, table_u, table_x, tau_kernel,
     tkernel, tournament_kernel, tzero_kernel,
 )
-from .qpoly import Cyclo, IntPoly, cyclo_sum, qbinom, qmultinom
+from .qpoly import Cyclo, CycloBasis, IntPoly, qbinom, qmultinom
 from .symfun import (
     hook_content, key_poly, keyhat_poly, scalar_product, schur_onevar_value,
     schur_principal,
@@ -450,38 +453,70 @@ def cyclic_interval(s: int, r: int, n: int):
     return out
 
 
+# Both right sides are sums of terms +-q^e W_s, with
+#
+#     W_s = [|a|; a]_q (1 - q^s) / (1 - q^(|a|+1-s)),   s = 1..|a|,
+#
+# whose Cyclo part depends only on a and s; the rest of the case enters
+# through a sign and a q-shift.  So the W_s of one a are expanded, or put
+# over their common denominator, once, and each case only shifts or
+# combines them.
+
+def _near_ct_term(a: tuple, s: int) -> Cyclo:
+    return (Cyclo.qmultinom(a) * Cyclo.one_minus_q(s)
+            / Cyclo.one_minus_q(1 + sum(a) - s))
+
+
+@functools.lru_cache(maxsize=8)
+def _near_ct_expanded(a: tuple, s: int) -> IntPoly:
+    """W_s expanded (zero for s = 0), kept for the cases of a grid
+    enumerated by ``a``."""
+    return _near_ct_term(a, s).expand()
+
+
+@functools.lru_cache(maxsize=4)
+def _near_ct_basis(a: tuple) -> CycloBasis:
+    """The common-denominator basis of W_1, ..., W_|a|."""
+    return CycloBasis(_near_ct_term(a, s) for s in range(1, sum(a) + 1))
+
+
 def rhs_sills(a, r: int, s: int) -> IntPoly:
     a = tuple(a)
     n = len(a)
     if r == s or not (1 <= r <= n and 1 <= s <= n):
         raise ValueError("need distinct indices r, s in 1..n")
     e_rs = (1 if r < s else 0) + sum(a[i - 1] for i in cyclic_interval(s, r, n))
-    out = -(Cyclo.one_minus_q(a[s - 1]) * Cyclo.qmultinom(a)).shifted(e_rs)
-    return (out / Cyclo.one_minus_q(1 + sum(a) - a[s - 1])).expand()
+    return -_near_ct_expanded(a, a[s - 1]).shifted(e_rs)
 
 
 def rhs_lxz(v, a) -> IntPoly:
+    """sum over J in I = {i : v_i = 1} of (-1)^|J| q^(e_J) W_(a_J), where
+    a_J = sum_{j in J} a_j and e_J = sum_{j not in J} (v_1+...+v_j) a_j."""
     v = tuple(v)
     a = tuple(a)
     n = len(a)
+    if len(v) != n or not n:
+        raise ValueError(f"v has length {len(v)} and a has length {n}; "
+                         "need equal nonzero lengths")
     if weight(v) != 0 or max(v) > 1 or v[0] != 1:
         raise ValueError("need |v| = 0, max(v) <= 1 and v_1 = 1")
+    if min(a) < 0:
+        raise ValueError("rhs_lxz needs nonnegative a")
     prefix = partial_sums(v)
-    index_set = [i for i in range(1, n + 1) if v[i - 1] == 1]
-    total = sum(a)
-    multinom = Cyclo.qmultinom(a)
-    terms = []
-    for size in range(len(index_set) + 1):
-        for J in itertools.combinations(index_set, size):
-            aJ = sum(a[j - 1] for j in J)
-            if aJ == 0:
-                continue  # the factor 1 - q^0 kills the term (incl. J = {})
-            eJ = sum(prefix[j - 1] * a[j - 1]
-                     for j in range(1, n + 1) if j not in J)
-            term = (multinom * Cyclo.one_minus_q(aJ)
-                    / Cyclo.one_minus_q(1 + total - aJ)).shifted(eJ)
-            terms.append(-term if size % 2 else term)
-    return cyclo_sum(terms)
+    weights = [p * x for p, x in zip(prefix, a)]
+    # (a_J, e_J, (-1)^|J|) for every subset J of I, one i in I at a time
+    subsets = [(0, sum(weights), 1)]
+    for i in range(n):
+        if v[i] == 1:
+            subsets += [(aJ + a[i], eJ - weights[i], -sign)
+                        for aJ, eJ, sign in subsets]
+    # coeffs[s - 1] gathers the signed q^(e_J) of every J with a_J = s
+    coeffs = [{} for _ in range(sum(a))]
+    for aJ, eJ, sign in subsets:
+        if aJ:  # else the factor 1 - q^0 kills the term (incl. J = {})
+            c = coeffs[aJ - 1]
+            c[eJ] = c.get(eJ, 0) + sign
+    return _near_ct_basis(a).combine(map(IntPoly, coeffs))
 
 
 @functools.lru_cache(maxsize=4)

@@ -19,10 +19,10 @@ B = prod_d ||Phi_d||_1^m_d in absolute value.  With b = bitlen(B) + 1,
 the integer sign * prod_d Phi_d(2^b)^m_d therefore holds the coefficients
 as balanced base-2^b digits (a digit >= 2^(b-1) stands for itself minus
 2^b, with a carry into the next one), and one big-integer product
-replaces the polynomial multiplications.  cyclo_sum adds such ratios: it
-factors out the smallest exponent of each Phi_d, expands and sums the
-polynomial quotients, and divides exactly by the part of that common
-factor left in the denominator.
+replaces the polynomial multiplications.  A CycloBasis adds such ratios
+with polynomial coefficients: it puts them over their common cyclotomic
+denominator and expands the numerators once, so each sum costs one
+exact division by that denominator.
 
 QRat is the field of quotients, the slow reference route (polynomial
 gcd) kept for the generic interpolation extractor and the tests.  Every
@@ -742,28 +742,43 @@ def _qmultinom(a: tuple) -> Cyclo:
     return direct
 
 
-def cyclo_sum(terms) -> IntPoly:
-    """The sum of Cyclo values, as an IntPoly.
+class CycloBasis:
+    """The sums sum_s C_s W_s of fixed Cyclo values W_s with IntPoly
+    coefficients C_s.
 
-    The common factor g = q^s prod_d Phi_d^g_d, with s the smallest shift
-    and g_d the smallest exponent of Phi_d over the terms, comes out
-    first: every t / g is a polynomial, and only those are expanded and
-    summed.  The sum is divided exactly by the Phi_d with g_d < 0 and then
-    multiplied by the rest of g.  A remainder (the sum is not a
-    polynomial) raises NonExactDivision.
+    The common denominator D = prod_d Phi_d^D_d, with D_d the largest
+    exponent -m of Phi_d^m over the W_s (0 if every m >= 0), and the
+    smallest shift s come out once: every W_s D / q^s is a polynomial
+    and is expanded once, and so is D.  Each ``combine`` then costs one
+    exact division of sum_s C_s (W_s D / q^s) by D and a shift by q^s; a
+    remainder (the sum is not a polynomial) raises NonExactDivision.
     """
-    terms = [t for t in terms if t.sign]
-    if not terms:
-        return IntPoly()
-    low = {d: 0 for t in terms for d in t.mult}
-    for t in terms:
-        for d in low:
-            low[d] = min(low[d], t.mult.get(d, 0))
-    g = Cyclo(1, min(t.shift for t in terms), low)
-    num = IntPoly()
-    for t in terms:
-        num = num + (t / g).expand()
-    den = Cyclo(1, 0, {d: -m for d, m in low.items() if m < 0})
-    if den.mult:
-        num = num.exact_div(den.expand())
-    return num * (g * den).expand()
+
+    __slots__ = ("quotients", "den", "shift")
+
+    def __init__(self, terms):
+        terms = list(terms)
+        nonzero = [t for t in terms if t.sign]
+        den = {d: -min(t.mult.get(d, 0) for t in nonzero)
+               for d in {d for t in nonzero for d in t.mult}}
+        den = Cyclo(1, 0, {d: m for d, m in den.items() if m > 0})
+        self.shift = min((t.shift for t in nonzero), default=0)
+        self.quotients = [(t * den).shifted(-self.shift).expand() for t in terms]
+        self.den = den.expand() if den.mult else None
+
+    def combine(self, coeffs) -> IntPoly:
+        """sum_s coeffs[s] * W_s, as an IntPoly."""
+        coeffs = list(coeffs)
+        if len(coeffs) != len(self.quotients):
+            raise ValueError(f"{len(coeffs)} coefficients for a basis of "
+                             f"{len(self.quotients)} values")
+        acc: dict[int, int] = {}
+        for c, quo in zip(coeffs, self.quotients):
+            for e1, c1 in c._c.items():
+                for e2, c2 in quo._c.items():
+                    e = e1 + e2
+                    acc[e] = acc.get(e, 0) + c1 * c2
+        num = IntPoly(acc)
+        if self.den is not None:
+            num = num.exact_div(self.den)
+        return num.shifted(self.shift)

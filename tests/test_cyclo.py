@@ -12,11 +12,12 @@ import random
 
 import pytest
 
+from dysonct.cli import _lxz_vs
 from dysonct.combi import (
     Permutation, all_pairsets, is_strict, partial_sums, reverse, weight,
 )
 from dysonct.identities import (
-    c_w, cyclic_interval, rhs_bg_alternating, rhs_bg_general, rhs_kadell,
+    _near_ct_basis, c_w, cyclic_interval, rhs_bg_alternating, rhs_bg_general, rhs_kadell,
     rhs_kadell_t, rhs_lxz, rhs_sills, rhs_strict, t_monomial,
     w_sigma,
 )
@@ -26,10 +27,16 @@ from dysonct.interp import (
 )
 from dysonct.mpoly import MPoly, table_kernel
 from dysonct.qpoly import (
-    ONE, Cyclo, IntPoly, NonExactDivision, QRat, cyclo_sum, cyclotomic,
+    ONE, Cyclo, CycloBasis, IntPoly, NonExactDivision, QRat, cyclotomic,
     one_minus_q, q_power_diff, qbinom, qmultinom, qpoch,
 )
 from dysonct.symfun import hook_content
+
+
+def cyclo_sum(terms):
+    """The plain sum of Cyclo values: a basis combined with unit coefficients."""
+    terms = list(terms)
+    return CycloBasis(terms).combine([ONE] * len(terms))
 
 
 # -- the QRat reference route -------------------------------------------------------
@@ -485,7 +492,7 @@ class TestKroneckerExpand:
 
         monkeypatch.setattr(Cyclo, "expand", recording)
         for identity in ("sills", "lxz"):
-            for n in (2, 3):
+            for n in (2, 3, 4):
                 run(RunConfig(identity, n=n, a_max=2, sum_max=8))
         run(RunConfig("interp-dyson", n=3, a_max=2))
         run(RunConfig("interp-closed", n=3, a_max=2))
@@ -564,3 +571,147 @@ class TestQmultinomCache:
         assert (first.sign, first.shift, first.mult) == before
         assert Cyclo.qmultinom(a) == Cyclo(*before)
         assert qmultinom(a) == ref_qmultinom(a)
+
+
+# -- the per-a basis of the Sills and LXZ right sides --------------------------------
+#
+# rhs_lxz groups its J-terms by a_J and combines them once over the
+# common denominator of W_s = [|a|; a]_q (1 - q^s) / (1 - q^(|a|+1-s));
+# rhs_sills shifts one expanded W_s.  The references are the per-term
+# QRat formulas above.
+
+def _near_ct_grid(n):
+    """The a of the near-CT bench grids: entries <= 2, |a| <= 8."""
+    return [a for a in itertools.product(range(3), repeat=n) if sum(a) <= 8]
+
+
+def _lxz_terms(v, a):
+    """(a_J, e_J, (-1)^|J|) for every J of the LXZ sum with a_J > 0."""
+    n = len(a)
+    prefix = partial_sums(v)
+    index_set = [i for i in range(1, n + 1) if v[i - 1] == 1]
+    out = []
+    for size in range(len(index_set) + 1):
+        for J in itertools.combinations(index_set, size):
+            aJ = sum(a[j - 1] for j in J)
+            if aJ:
+                eJ = sum(prefix[j - 1] * a[j - 1]
+                         for j in range(1, n + 1) if j not in J)
+                out.append((aJ, eJ, -1 if size % 2 else 1))
+    return out
+
+
+class TestNearCtBasis:
+    def test_whole_bench_grid_matches_qrat(self):
+        counts = {"sills": 0, "lxz": 0}
+        for n in (2, 3, 4):
+            vs = _lxz_vs(n)
+            for a in _near_ct_grid(n):
+                for r, s in itertools.permutations(range(1, n + 1), 2):
+                    assert rhs_sills(a, r, s) == ref_sills(a, r, s), (a, r, s)
+                    counts["sills"] += 1
+                for v in vs:
+                    assert rhs_lxz(v, a) == ref_lxz(v, a), (v, a)
+                    counts["lxz"] += 1
+        assert counts == {"sills": 1152, "lxz": 1332}
+
+    def test_five_variables(self):
+        for a in [(1, 0, 2, 1, 1), (2, 2, 1, 2, 1), (0, 1, 1, 0, 2)]:
+            for v in _lxz_vs(5)[::7]:
+                assert rhs_lxz(v, a) == ref_lxz(v, a), (v, a)
+            for r, s in [(1, 2), (2, 1), (5, 3), (3, 5)]:
+                assert rhs_sills(a, r, s) == ref_sills(a, r, s), (a, r, s)
+
+    def test_partial_sums_of_lxz_terms(self):
+        # any subset of one case's J-terms, combined in the per-a basis,
+        # equals its QRat sum
+        checked = 0
+        for v, a in [((1, 1, -2), (2, 1, 2)), ((1, 0, 1, -2), (1, 2, 1, 2)),
+                     ((1, 1, 1, -3), (2, 1, 2, 1)), ((1, -1, 1, -1), (2, 2, 1, 1))]:
+            basis = _near_ct_basis(a)
+            terms = _lxz_terms(v, a)
+            for size in range(1, len(terms) + 1):
+                for subset in itertools.combinations(terms, size):
+                    coeffs = [IntPoly() for _ in range(sum(a))]
+                    want = QRat(0)
+                    for aJ, eJ, sign in subset:
+                        coeffs[aJ - 1] = coeffs[aJ - 1] + IntPoly({eJ: sign})
+                        want = want + QRat(one_minus_q(aJ).shifted(eJ) * sign,
+                                           one_minus_q(1 + sum(a) - aJ))
+                    assert (basis.combine(coeffs)
+                            == (want * ref_qmultinom(a)).expect_intpoly())
+                    checked += 1
+        assert checked > 100
+
+    def test_non_polynomial_sums_raise(self):
+        # every J-term is a polynomial ([N; k] (1 - q^k) / (1 - q^(N-k+1))
+        # is [N; k-1]), but a W_s whose s is no sum of parts of a need not
+        # be, and a sum of such terms must raise, not round
+        raised = exact = 0
+        for a in _near_ct_grid(3):
+            total = sum(a)
+            basis = _near_ct_basis(a)
+            for s in range(1, total + 1):
+                for other in range(s, total + 1):
+                    coeffs = [IntPoly() for _ in range(total)]
+                    coeffs[s - 1] = coeffs[s - 1] + ONE
+                    coeffs[other - 1] = coeffs[other - 1] + IntPoly({1: -1})
+                    want = QRat(0)
+                    for k, c in ((s, ONE), (other, IntPoly({1: -1}))):
+                        want = want + QRat(one_minus_q(k) * c,
+                                           one_minus_q(1 + total - k))
+                    want = (want * ref_qmultinom(a)).as_intpoly()
+                    if want is None:
+                        raised += 1
+                        with pytest.raises(NonExactDivision):
+                            basis.combine(coeffs)
+                    else:
+                        exact += 1
+                        assert basis.combine(coeffs) == want
+        assert raised > 30 and exact > 100
+
+    def test_interleaved_a_values_past_the_cache_size(self):
+        a_values = [(1, 1, 2), (2, 1, 1), (1, 2, 1), (2, 2, 1), (1, 2, 2),
+                    (2, 1, 2), (0, 2, 1)]
+        vs = _lxz_vs(3)
+        want = {a: ([ref_lxz(v, a) for v in vs],
+                    [ref_sills(a, r, s)
+                     for r, s in itertools.permutations((1, 2, 3), 2)])
+                for a in a_values}
+        for _ in range(3):
+            for a in a_values:
+                for i, v in enumerate(vs):
+                    assert rhs_lxz(v, a) == want[a][0][i], (v, a)
+            for a in reversed(a_values):
+                got = [rhs_sills(a, r, s)
+                       for r, s in itertools.permutations((1, 2, 3), 2)]
+                assert got == want[a][1], a
+
+    def test_random_coefficients_match_qrat(self):
+        rng = random.Random(8128)
+        raised = 0
+        for _ in range(150):
+            parts = [_random_ratio(rng) for _ in range(rng.randrange(0, 5))]
+            coeffs = [IntPoly({rng.randrange(-3, 4): rng.randrange(-3, 4)
+                               for _ in range(rng.randrange(0, 3))})
+                      for _ in parts]
+            want = QRat(0)
+            for (num, den, _), c in zip(parts, coeffs):
+                want = want + QRat(num * c, den)
+            want = want.as_intpoly()
+            basis = CycloBasis(cyc for _, _, cyc in parts)
+            if want is None:
+                raised += 1
+                with pytest.raises(NonExactDivision):
+                    basis.combine(coeffs)
+            else:
+                assert basis.combine(coeffs) == want
+        assert 20 < raised < 130
+
+    def test_coefficient_count_must_match(self):
+        basis = CycloBasis([Cyclo.one_minus_q(2), Cyclo(0), Cyclo().shifted(3)])
+        assert basis.combine([ONE, ONE, IntPoly({-3: 2})]) == IntPoly({0: 3, 2: -1})
+        for coeffs in ([ONE, ONE], [ONE] * 4):
+            with pytest.raises(ValueError, match="coefficients"):
+                basis.combine(coeffs)
+        assert CycloBasis([]).combine([]) == IntPoly()

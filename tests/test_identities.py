@@ -363,7 +363,7 @@ class TestMatrixPropositions:
 class TestSillsLXZ:
     def test_empty_J_term_vanishes(self):
         # J = {} contributes a factor 1 - q^0 = 0; the sum starts at |J| = 1
-        assert rhs_lxz((1, -1), (0, 1)) == rhs_lxz((1, -1), (0, 1))
+        assert rhs_lxz((1, -1), (0, 1)) == IntPoly()
         v, a = (1, -1), (2, 1)
         assert holds(verify_lxz(v, a))
 
@@ -395,3 +395,15 @@ class TestSillsLXZ:
             rhs_lxz((0, 1, -1), (1, 1, 1))
         with pytest.raises(ValueError):
             rhs_lxz((2, -2), (1, 1))
+        with pytest.raises(ValueError):
+            rhs_lxz((1, -1), (2, -1))
+
+    @pytest.mark.parametrize("v, a", [((1, -1, 0), (1, 1)),
+                                      ((1, -1), (1, 1, 1)),
+                                      ((), ())])
+    def test_lxz_length_mismatch(self, v, a):
+        # a longer v used to drop its extra entries, a shorter one raised
+        # IndexError, and two empty tuples failed inside max()
+        with pytest.raises(ValueError, match=f"v has length {len(v)} and a "
+                                             f"has length {len(a)}"):
+            rhs_lxz(v, a)
