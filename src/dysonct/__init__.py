@@ -6,8 +6,8 @@ The package is organised bottom-up:
   mpoly       sparse multivariate Laurent polynomials and kernel builders
   combi       permutations, compositions, pair sets, tournaments, matrices
   symfun      Schur and key polynomials, divided differences, scalar product
-  identities  closed forms and brute-force verifiers for every identity
   interp      multivariate Lagrange interpolation and the bespoke grids
+  identities  closed forms and brute-force verifiers for every identity
   cli         the batch verification harness (``dysonct`` entry point)
 """
 

@@ -57,7 +57,8 @@ class Permutation:
 
     @classmethod
     def parse(cls, text: str) -> "Permutation":
-        return cls(int(v) for v in text.split(","))
+        """The inverse of ``serialize``; "" is the empty permutation."""
+        return cls(int(v) for v in text.split(",")) if text else cls(())
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n

@@ -36,6 +36,9 @@ from .combi import (
     all_pairs, ell_stats, partial_sums, sort_desc, reverse, staircase,
     conjugate, is_partition, is_strict, weight,
 )
+from .interp import (
+    closed_eval, dyson_coeff_interpolated, sills_coeff_interpolated,
+)
 from .mpoly import (
     Kernel, MPoly, VarTable, bg_alternating_kernel, bg_kernel, dyson_kernel,
     kernel_factors, table_kernel, table_u, table_x, tau_kernel,
@@ -695,7 +698,6 @@ def verify_lxz(v, a):
 def verify_interp_dyson(a, S):
     """The interpolated t -> 0 coefficient of x^v(S) against its brute-force
     extraction; it must be nonzero exactly when K(S) = n."""
-    from .interp import dyson_coeff_interpolated
     a = tuple(a)
     S = frozenset(map(tuple, S))
     n = len(a)
@@ -710,13 +712,11 @@ def verify_interp_dyson(a, S):
 
 
 def verify_interp_closed(a, w: str):
-    from .interp import closed_eval
     a, w = tuple(a), Permutation.parse(w)
     return str(closed_eval(a, w)), str(c_w(a, w))
 
 
 def verify_interp_sills(a, r: int):
-    from .interp import sills_coeff_interpolated
     a = tuple(a)
     value, _ = sills_coeff_interpolated(a, r)
     return str(value), str(rhs_sills(a, r, 1))

@@ -12,9 +12,9 @@ at most a single point of the Poincare-deformed Dyson coefficient survive
 for the near-constant-term coefficient of the plain Dyson product.  Both
 find their survivors with ``scan_survivors``, a depth-first search that
 visits only the points no factor (x_u - x_v q^k) annihilates, instead of
-every point of the grid.  The closed evaluation pipeline reproduces the surviving value through
-factorised q-factorial products, checking the sign and q-power bookkeeping
-identities along the way.
+every point of the grid.  The closed evaluation pipeline reproduces the
+surviving value through factorised q-factorial products, checking the sign
+and q-power bookkeeping identities along the way.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .combi import Permutation, ell_stats, partial_sums
-from .identities import c_w
 from .mpoly import MPoly, product, table_x
 from .qpoly import Cyclo, IntPoly, QRat, q_power_diff
 
@@ -235,11 +234,13 @@ def dyson_coeff_interpolated(a, S, rng=None):
 
 def closed_eval(a, w: Permutation) -> IntPoly:
     """Evaluate the surviving interpolation term for S = R(w) through the
-    factorised products, checking the bookkeeping identities:
+    factorised products, checking the two bookkeeping identities:
 
       * the sign exponents cancel: l(w) + s_less + s_greater = sum_j s_j,
-      * the q-power exponents cancel: t_less + t_greater = sum_i t_i,
-      * the assembled product equals the closed-form coefficient c_w(a).
+      * the q-power exponents cancel: t_less + t_greater = sum_i t_i.
+
+    The product is the weight of w in the deformed Poincare sum; comparing
+    it with that closed form is the ``interp-closed`` checker's job.
     """
     a = tuple(a)
     n = len(a)
@@ -290,13 +291,7 @@ def closed_eval(a, w: Permutation) -> IntPoly:
         value = value / Cyclo.qfactorial(s[i]) / Cyclo.qfactorial(total - s[i + 1])
         for j in range(i + 1, n + 1):
             value = value * Cyclo.one_minus_q(s[j + 1] - s[i + 1])
-    value = value.expand()
-    reference = c_w(a, w)
-    if value != reference:
-        raise ClosedEvalError(
-            f"closed evaluation {value} differs from c_w {reference} "
-            f"for a={a}, w={w.word}")
-    return value
+    return value.expand()
 
 
 # -- the near-constant-term grid of the plain Dyson product --------------------------

@@ -653,17 +653,18 @@ class Cyclo:
             return cls(0)
         return cls(1, 0, {d: n // d - m // d - (n - m) // d for d in range(1, n + 1)})
 
-    @staticmethod
-    def qmultinom(a) -> "Cyclo":
-        """q-multinomial coefficient of a composition.
-
-        Computed both as (q)_{|a|} / prod (q)_{a_i}, whose Phi_d exponent is
-        floor(|a|/d) - sum floor(a_i/d), and as the telescoping product of
-        q-binomials of the partial sums; the two must agree.  The grids
-        enumerate by a, so the last few distinct a are cached (a Cyclo is
-        immutable, so the shared value is safe).
-        """
-        return _qmultinom(tuple(a))
+    @classmethod
+    def qmultinom(cls, a) -> "Cyclo":
+        """q-multinomial coefficient (q)_{|a|} / prod (q)_{a_i} of a
+        composition: the Phi_d exponent is floor(|a|/d) - sum floor(a_i/d),
+        which is never negative.  A test checks it against the product of
+        q-binomials of the partial sums."""
+        a = tuple(a)
+        if any(x < 0 for x in a):
+            raise ValueError("qmultinom needs nonnegative parts")
+        total = sum(a)
+        return cls(1, 0, {d: total // d - sum(x // d for x in a)
+                          for d in range(1, total + 1)})
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -723,23 +724,6 @@ class Cyclo:
 
     def __repr__(self):
         return f"Cyclo({self.sign}, {self.shift}, {dict(sorted(self.mult.items()))})"
-
-
-@functools.lru_cache(maxsize=8)
-def _qmultinom(a: tuple) -> Cyclo:
-    if any(x < 0 for x in a):
-        raise ValueError("qmultinom needs nonnegative parts")
-    total = sum(a)
-    direct = Cyclo(1, 0, {d: total // d - sum(x // d for x in a)
-                          for d in range(1, total + 1)})
-    sigma = 0
-    telescoped = Cyclo()
-    for x in a:
-        sigma += x
-        telescoped = telescoped * Cyclo.qbinom(sigma, x)
-    if direct != telescoped:
-        raise AssertionError(f"qmultinom mismatch for a={a}")
-    return direct
 
 
 class CycloBasis:

@@ -98,6 +98,13 @@ class TestUsageErrors:
         with pytest.raises(ValueError, match=f"^{flag} must be at least"):
             run(RunConfig("q-dyson", **{"n": 2, "a_max": 1, field: value}))
 
+    def test_prop_kappa_without_columns_passes(self):
+        # m = 0: every case has the empty column permutation w = ""
+        code, records = run(RunConfig("prop-kappa", n=2, m_max=0))
+        assert code == 0
+        assert len(records) == 4
+        assert all(r["status"] == "ok" and r["equal"] for r in records)
+
     def test_zero_bounds_are_valid(self, capsys):
         code = main(["verify", "q-dyson", "--n", "1", "--a-max", "0",
                      "--m-max", "0", "--sum-max", "0", "--jobs", "1",

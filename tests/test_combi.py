@@ -47,6 +47,14 @@ class TestPermutation:
         w = Permutation((3, 1, 2))
         assert Permutation.parse(w.serialize()) == w
 
+    def test_serialize_roundtrip_every_small_n(self):
+        # n = 0 serializes to "", the one column permutation of prop-kappa
+        # at m = 0
+        for n in range(4):
+            for w in Permutation.all_perms(n):
+                assert Permutation.parse(w.serialize()) == w
+        assert Permutation.parse("") == Permutation(())
+
     def test_act(self):
         w = Permutation((2, 3, 1))
         assert w.act(("a", "b", "c")) == ("b", "c", "a")

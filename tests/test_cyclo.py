@@ -17,9 +17,9 @@ from dysonct.combi import (
     Permutation, all_pairsets, is_strict, partial_sums, reverse, weight,
 )
 from dysonct.identities import (
-    _near_ct_basis, c_w, cyclic_interval, rhs_bg_alternating, rhs_bg_general, rhs_kadell,
-    rhs_kadell_t, rhs_lxz, rhs_sills, rhs_strict, t_monomial,
-    w_sigma,
+    _near_ct_basis, _near_ct_expanded, c_w, cyclic_interval,
+    rhs_bg_alternating, rhs_bg_general, rhs_kadell, rhs_kadell_t, rhs_lxz,
+    rhs_sills, rhs_strict, t_monomial, w_sigma,
 )
 from dysonct.interp import (
     closed_eval, dyson_coeff_interpolated, dyson_grid, eval_factored,
@@ -490,6 +490,10 @@ class TestKroneckerExpand:
             seen.append(self)
             return expand(self)
 
+        # values already kept by the per-a caches would not be expanded
+        # again, so the count would depend on the tests run before this one
+        _near_ct_basis.cache_clear()
+        _near_ct_expanded.cache_clear()
         monkeypatch.setattr(Cyclo, "expand", recording)
         for identity in ("sills", "lxz"):
             for n in (2, 3, 4):
@@ -560,7 +564,6 @@ class TestQmultinomCache:
         a = (2, 1, 3)
         first = Cyclo.qmultinom(a)
         before = (first.sign, first.shift, dict(first.mult))
-        assert Cyclo.qmultinom(list(a)) is first
         other = Cyclo.one_minus_q(4) / Cyclo.one_minus_q(2)
         for value in (first * other, first / other, other * first,
                       other / first, -first, first.shifted(3)):
@@ -571,6 +574,22 @@ class TestQmultinomCache:
         assert (first.sign, first.shift, first.mult) == before
         assert Cyclo.qmultinom(a) == Cyclo(*before)
         assert qmultinom(a) == ref_qmultinom(a)
+
+    def test_equals_telescoped_qbinomials(self):
+        # Cyclo.qmultinom reads the Phi_d exponents off the q-factorials;
+        # the telescoping product of q-binomials of the partial sums is an
+        # independent route to the same value
+        for n in range(5):
+            for a in itertools.product(range(4), repeat=n):
+                want, sigma = Cyclo(), 0
+                for x in a:
+                    sigma += x
+                    want = want * Cyclo.qbinom(sigma, x)
+                assert Cyclo.qmultinom(a) == want, a
+
+    def test_rejects_negative_part(self):
+        with pytest.raises(ValueError):
+            Cyclo.qmultinom((2, -1, 3))
 
 
 # -- the per-a basis of the Sills and LXZ right sides --------------------------------

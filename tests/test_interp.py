@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+import dysonct.identities as identities
 import dysonct.interp as interp
+from dysonct.cli import RunConfig, run
 from dysonct.combi import (
     Permutation, all_pairsets, ell_stats, pairset_to_perm,
 )
@@ -171,6 +173,17 @@ class TestClosedEval:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             closed_eval((1, 0), Permutation.identity(2))
+
+    def test_wrong_closed_evaluation_fails_the_grid(self, monkeypatch):
+        # closed_eval does not compare itself with c_w; the interp-closed
+        # checker does, so a wrong value must end the grid with FAIL
+        original = identities.closed_eval
+        monkeypatch.setattr(identities, "closed_eval",
+                            lambda a, w: original(a, w).shifted(1))
+        code, records = run(RunConfig("interp-closed", n=3, a_max=2))
+        assert code == 1
+        assert records
+        assert all(r["status"] == "ok" and not r["equal"] for r in records)
 
 
 class TestSillsGrid:

@@ -82,6 +82,18 @@ def test_kernel_coeff_matches_full_expansion(family):
     assert checked
 
 
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+def test_every_factor_is_homogeneous_of_x_degree_zero(family):
+    # kernel_factors does not check this at run time: each factor has it
+    # by construction, and so does the kernel
+    checked = 0
+    for a, params, table in family_cases(family):
+        for f in kernel_factors(family, a, table, **params):
+            assert f.x_degrees() == {0}, (a, params, f)
+            checked += 1
+    assert checked
+
+
 def test_repeated_extraction_in_shuffled_order():
     # each kernel keeps its own packed halves; reads from the same kernel,
     # interleaved with other kernels on the same table, must each join
