@@ -18,13 +18,13 @@ from .mpoly import (
     tkernel, tournament_kernel, tzero_kernel,
 )
 from .combi import (
-    Permutation, Tournament, ZeroOneMatrix, comp_stats, conjugate,
+    Permutation, Tournament, ZeroOneMatrix, conjugate,
     dominance_leq, ell_stats, gale_ryser_feasible, is_strict,
     left_justified_from_rows, pairset_to_perm, staircase,
 )
 from .symfun import (
-    Alphabet, complete_h, divided_difference, hook_content, isobaric_pi,
-    isobaric_pihat, key_poly, keyhat_poly, scalar_product, schur_principal,
+    complete_h, divided_difference, hook_content, isobaric_pi, isobaric_pihat,
+    key_poly, keyhat_poly, scalar_product, schur_principal,
 )
 from .identities import (
     D_vlambda, c_w, poincare_W, rhs_bg_alternating,

@@ -151,12 +151,6 @@ def dominance_leq(mu, nu) -> bool:
     return True
 
 
-def comp_stats(v):
-    """(v^+, reversed v, partial sums, weight) in one call."""
-    v = tuple(v)
-    return sort_desc(v), reverse(v), partial_sums(v), weight(v)
-
-
 def staircase(m: int) -> tuple:
     """delta_m = (m-1, ..., 1, 0)."""
     return tuple(range(m - 1, -1, -1))

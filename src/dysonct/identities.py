@@ -106,15 +106,21 @@ def c_w(a, w: Permutation) -> IntPoly:
 
     reduced to a genuine polynomial.
     """
-    a = tuple(a)
+    return _c_w_cyclo(tuple(a), w).expand()
+
+
+def _c_w_cyclo(a: tuple, w: Permutation) -> Cyclo:
+    """``c_w`` before expansion."""
     if any(x < 1 for x in a):
         raise ValueError("c_w needs positive a")
+    if w.n != len(a):
+        raise ValueError(f"w permutes {w.n} letters and a has {len(a)} parts")
     out = Cyclo.qmultinom(a)
     for x in a:
         out = out * Cyclo.one_minus_q(x)
     for i in range(1, len(a) + 1):
         out = out / Cyclo.one_minus_q(w_sigma(a, w, i))
-    return out.expand()
+    return out
 
 
 def rhs_poincare_qdyson(a, table: VarTable | None = None) -> MPoly:
@@ -150,6 +156,8 @@ def rhs_bg_general(a, index_set) -> IntPoly:
     a = tuple(a)
     if any(x < 1 for x in a):
         raise ValueError("rhs_bg_general needs positive a")
+    if not all(1 <= i <= len(a) for i in index_set):
+        raise ValueError(f"index set {sorted(index_set)} is not inside 1..{len(a)}")
     sigma = partial_sums(a)
     out = Cyclo.qmultinom(a)
     for i in sorted(index_set):
@@ -231,7 +239,11 @@ def rhs_kadell(v, a) -> IntPoly:
 def rhs_kadell_t(k: int, m: int, a, table: VarTable | None = None) -> MPoly:
     """The symbolic-t closed form for v = (0^{k-1}, m, 0^{n-k}):
 
-        sum over w with w(n) = k of t_{R(w)} times a per-w polynomial weight.
+        (q^{|a|})_m / (q^{|a|-a_k+1})_m * sum over w with w(n) = k of c_w t_{R(w)}.
+
+    Its per-w weight is often written prod_i [sigma_i - 1; a_i - 1]_q
+    (1 - q^{sigma_i}) / (1 - q^{a_{w(1)}+...+a_{w(i)}}); the numerator
+    telescopes to [|a|; a]_q prod_i (1 - q^{a_i}), which makes it c_w.
     """
     a = tuple(a)
     n = len(a)
@@ -243,20 +255,14 @@ def rhs_kadell_t(k: int, m: int, a, table: VarTable | None = None) -> MPoly:
         raise ValueError("k out of range")
     if table is None:
         table = table_kernel(n)
-    sigma = partial_sums(a)
-    total = sigma[-1]
-    base = Cyclo.qpoch(total, m) / Cyclo.qpoch(total - a[k - 1] + 1, m)
-    for i in range(1, n + 1):
-        base = (base * Cyclo.qbinom(sigma[i - 1] - 1, a[i - 1] - 1)
-                * Cyclo.one_minus_q(sigma[i - 1]))
+    total = sum(a)
+    ratio = Cyclo.qpoch(total, m) / Cyclo.qpoch(total - a[k - 1] + 1, m)
     out = MPoly.zero(table)
     for w in Permutation.all_perms(n):
         if w(n) != k:
             continue
-        coeff = base
-        for i in range(1, n + 1):
-            coeff = coeff / Cyclo.one_minus_q(w_sigma(a, w, i))
-        out = out + t_monomial(table, w.recording_set()) * coeff.expand()
+        coeff = (ratio * _c_w_cyclo(a, w)).expand()
+        out = out + t_monomial(table, w.recording_set()) * coeff
     return out
 
 
@@ -533,10 +539,8 @@ def cached_kernel(family: str, a: tuple) -> Kernel:
 
 def sills_lhs(a, r: int, s: int) -> IntPoly:
     """CT[(x_r/x_s) * Dyson kernel] by brute force."""
-    a = tuple(a)
-    v = tuple((1 if i == s else 0) - (1 if i == r else 0)
-              for i in range(1, len(a) + 1))
-    return cached_kernel("dyson", a).coeff_x(v).to_intpoly()
+    return lxz_lhs(tuple((1 if i == s else 0) - (1 if i == r else 0)
+                         for i in range(1, len(a) + 1)), a)
 
 
 def lxz_lhs(v, a) -> IntPoly:

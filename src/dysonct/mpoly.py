@@ -33,8 +33,6 @@ q-packed polynomials below defines the format.
 
 from __future__ import annotations
 
-import json
-
 from .qpoly import IntPoly, balanced_digits
 
 _W = 32
@@ -325,18 +323,6 @@ class MPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of an MPoly")
-        result = MPoly.one(self.table)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     # -- extraction -----------------------------------------------------------
 
     def ct_x(self) -> "MPoly":
@@ -516,7 +502,7 @@ class MPoly:
         n = self.table.nx
         return min([0] + [e for v, _ in self._vectors() for e in v[1:n + 1]])
 
-    # -- text and machine forms ------------------------------------------------------
+    # -- text form -------------------------------------------------------------------
 
     def __str__(self):
         if not self._terms:
@@ -541,20 +527,6 @@ class MPoly:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-    def serialize(self) -> str:
-        """Machine-readable JSON: variable names plus term list."""
-        return json.dumps({
-            "vars": list(self.table.names),
-            "terms": [[list(vec), str(c)] for vec, c in self.terms()],
-        })
-
-    @classmethod
-    def deserialize(cls, text: str, table: VarTable) -> "MPoly":
-        data = json.loads(text)
-        if tuple(data["vars"]) != table.names:
-            raise ValueError("serialized variable table does not match")
-        return cls(table, [(tuple(vec), int(c)) for vec, c in data["terms"]])
 
 
 # -- products of many factors ----------------------------------------------------
@@ -730,6 +702,8 @@ def kernel_factors(family: str, a, table: VarTable, *, m: int = 0,
     if any(x < low for x in a):
         raise ValueError(f"{family} kernel needs "
                          f"{'nonnegative' if low == 0 else 'positive'} a")
+    if not all(1 <= i <= n for i in index_set):
+        raise ValueError(f"index set {sorted(index_set)} is not inside 1..{n}")
     if family == "bg-alternating":
         factors = []
         for i in range(1, n + 1):

@@ -61,10 +61,6 @@ class IntPoly:
     def const(cls, c: int) -> "IntPoly":
         return cls({0: c})
 
-    @classmethod
-    def monomial(cls, c: int, e: int) -> "IntPoly":
-        return cls({e: c})
-
     # -- inspection --------------------------------------------------------
 
     def items(self):
@@ -168,18 +164,6 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of an IntPoly")
-        result = IntPoly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def shifted(self, k: int) -> "IntPoly":
         """Multiply by q**k."""
         r = IntPoly.__new__(IntPoly)
@@ -238,58 +222,9 @@ class IntPoly:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
 
-    @classmethod
-    def parse(cls, text: str) -> "IntPoly":
-        """Parse the rendering produced by str(); inverse of __str__."""
-        text = text.strip()
-        if text == "0":
-            return cls()
-        out: dict[int, int] = {}
-        for sign, body in _signed_terms(text):
-            if "*" in body:
-                mag_s, var = body.split("*")
-                mag = int(mag_s)
-            elif body.startswith("q"):
-                mag, var = 1, body
-            else:
-                mag, var = int(body), ""
-            if var == "":
-                e = 0
-            elif var == "q":
-                e = 1
-            elif var.startswith("q^"):
-                e = int(var[2:])
-            else:
-                raise ValueError(f"bad term {body!r}")
-            out[e] = out.get(e, 0) + sign * mag
-        return cls(out)
-
-
-def _signed_terms(text):
-    toks = text.split()
-    sign = 1
-    if toks and toks[0].startswith("-"):
-        toks[0] = toks[0][1:]
-    i = 0
-    first = True
-    while i < len(toks):
-        if first:
-            sign = -1 if text.lstrip().startswith("-") else 1
-            body = toks[i]
-            i += 1
-            first = False
-        else:
-            op, body = toks[i], toks[i + 1]
-            sign = 1 if op == "+" else -1
-            if op not in "+-":
-                raise ValueError(f"bad separator {op!r}")
-            i += 2
-        yield sign, body
-
 
 ZERO = IntPoly()
 ONE = IntPoly.const(1)
-Q = IntPoly.monomial(1, 1)
 
 
 # -- integer gcd of polynomials (the slow reference route) ----------------------

@@ -9,49 +9,27 @@ differences acting on dominant monomials.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-
+from .combi import Permutation, conjugate, is_partition
 from .mpoly import Kernel, MPoly, VarTable, complete_homogeneous, table_x
 from .qpoly import Cyclo, IntPoly
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Multiplicities (a_1, ..., a_n); letter (i, k) stands for x_i q^k."""
-
-    mults: tuple
-
-    def __post_init__(self):
-        if any(m < 0 for m in self.mults):
-            raise ValueError("multiplicities must be nonnegative")
-
-    @property
-    def n(self) -> int:
-        return len(self.mults)
-
-    def size(self) -> int:
-        return sum(self.mults)
-
-    def letters(self):
-        for i, m in enumerate(self.mults, start=1):
-            for k in range(m):
-                yield (i, k)
-
-
-def complete_h_list(top: int, alphabet: Alphabet, table: VarTable):
-    """[h_0, h_1, ..., h_top] of the alphabet, one convolution pass."""
-    if alphabet.n > table.nx:
+def complete_h_list(top: int, a, table: VarTable):
+    """[h_0, h_1, ..., h_top] of x^(a), one convolution pass."""
+    if any(m < 0 for m in a):
+        raise ValueError("multiplicities must be nonnegative")
+    if len(a) > table.nx:
         raise ValueError("alphabet does not fit the table's x block")
-    letters = [{0: k, table.x_index(i): 1} for i, k in alphabet.letters()]
+    letters = [{0: k, table.x_index(i): 1}
+               for i, m in enumerate(a, start=1) for k in range(m)]
     return complete_homogeneous(top, letters, table)
 
 
-def complete_h(m: int, alphabet: Alphabet, table: VarTable) -> MPoly:
-    """h_m of the alphabet; h_0 = 1."""
+def complete_h(m: int, a, table: VarTable) -> MPoly:
+    """h_m of x^(a); h_0 = 1."""
     if m < 0:
         raise ValueError("complete_h needs m >= 0")
-    return complete_h_list(m, alphabet, table)[m]
+    return complete_h_list(m, a, table)[m]
 
 
 def schur_principal(lam, a, table: VarTable | None = None) -> MPoly:
@@ -59,8 +37,7 @@ def schur_principal(lam, a, table: VarTable | None = None) -> MPoly:
     lam = tuple(lam)
     while lam and lam[-1] == 0:
         lam = lam[:-1]
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or any(
-            x < 0 for x in lam):
+    if not is_partition(lam):
         raise ValueError(f"not a partition: {lam}")
     a = tuple(a)
     if table is None:
@@ -68,8 +45,7 @@ def schur_principal(lam, a, table: VarTable | None = None) -> MPoly:
     if not lam:
         return MPoly.one(table)
     ell = len(lam)
-    alphabet = Alphabet(a)
-    hs = complete_h_list(lam[0] + ell - 1, alphabet, table)
+    hs = complete_h_list(lam[0] + ell - 1, a, table)
 
     def h(m):
         if m < 0:
@@ -77,21 +53,14 @@ def schur_principal(lam, a, table: VarTable | None = None) -> MPoly:
         return hs[m]
 
     out = MPoly.zero(table)
-    for sigma in itertools.permutations(range(1, ell + 1)):
-        sign = _perm_sign(sigma)
+    for sigma in Permutation.all_perms(ell):
         term = MPoly.one(table)
         for i in range(1, ell + 1):
-            term = term * h(lam[i - 1] - i + sigma[i - 1])
+            term = term * h(lam[i - 1] - i + sigma(i))
             if term.is_zero:
                 break
-        out = out + term * sign
+        out = out + term * sigma.sign()
     return out
-
-
-def _perm_sign(sigma) -> int:
-    inv = sum(1 for i in range(len(sigma)) for j in range(i + 1, len(sigma))
-              if sigma[i] > sigma[j])
-    return -1 if inv % 2 else 1
 
 
 def hook_content(lam, a: int) -> IntPoly:
@@ -102,13 +71,9 @@ def hook_content(lam, a: int) -> IntPoly:
     computed as a cyclotomic product and expanded to a polynomial.
     """
     lam = tuple(lam)
-    while lam and lam[-1] == 0:
-        lam = lam[:-1]
     if a < 0:
         raise ValueError("hook_content needs a >= 0")
-    if not lam:
-        return IntPoly.const(1)
-    conj = [sum(1 for part in lam if part > c) for c in range(lam[0])]
+    conj = conjugate(lam)  # raises unless lam is a partition
     shift = sum((r - 1) * lam[r - 1] for r in range(1, len(lam) + 1))
     value = Cyclo()
     for r, part in enumerate(lam, start=1):

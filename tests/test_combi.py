@@ -4,7 +4,7 @@ import random
 
 from dysonct.combi import (
     Permutation, Tournament, ZeroOneMatrix, all_compositions, all_pairs,
-    all_pairsets, all_tournaments, comp_stats,
+    all_pairsets, all_tournaments,
     conjugate, dominance_leq, ell_stats, gale_ryser_feasible, is_partition,
     is_strict, left_justified_from_rows, matrices_with_sums, pairset_to_perm,
     partial_sums, reverse, sort_desc, staircase,
@@ -66,8 +66,6 @@ class TestCompositions:
         assert sort_desc(v) == (4, 3, 1, 1, 0, 0)
         assert reverse(v) == (3, 0, 1, 4, 0, 1)
         assert partial_sums(v) == (1, 1, 5, 6, 6, 9)
-        assert comp_stats(v) == ((4, 3, 1, 1, 0, 0), (3, 0, 1, 4, 0, 1),
-                                 (1, 1, 5, 6, 6, 9), 9)
 
     def test_conjugate(self):
         assert conjugate((3, 2, 2, 0)) == (3, 3, 1)

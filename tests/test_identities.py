@@ -12,14 +12,16 @@ from dysonct.identities import (
     poincare_W, poincare_single_product, reduction_check, rhs_bg_alternating,
     rhs_bg_general, rhs_kadell, rhs_kadell_t, rhs_lxz,
     rhs_qdyson, rhs_sills, rhs_strict, rhs_tournament, solve_column_relation,
-    usum_cleared_sides, usum_k_cleared_sides, verify_bg_general,
+    t_monomial, usum_cleared_sides, usum_k_cleared_sides, verify_bg_general,
     verify_kadell, verify_kadell_t, verify_lxz, verify_poincare,
     verify_poincare_equal, verify_prop_kappa, verify_prop_vnu,
     verify_prop_zero, verify_q_dyson, verify_sills, verify_strict,
-    verify_tournament, verify_usum, verify_usum_k, verify_wtd,
+    verify_tournament, verify_usum, verify_usum_k, verify_wtd, w_sigma,
 )
-from dysonct.mpoly import MPoly, product, table_kernel, table_u, tkernel
-from dysonct.qpoly import IntPoly, qbinom, qmultinom
+from dysonct.mpoly import (
+    MPoly, bg_kernel, product, table_kernel, table_u, tkernel,
+)
+from dysonct.qpoly import Cyclo, IntPoly, qbinom, qmultinom
 
 
 def holds(sides):
@@ -51,6 +53,10 @@ class TestPoincare:
 
     def test_cw_transposition(self):
         assert c_w((1, 1), Permutation((2, 1))) == IntPoly.const(1)
+
+    def test_cw_rejects_permutation_of_another_length(self):
+        with pytest.raises(ValueError):
+            c_w((1, 1), Permutation((1, 2, 3)))
 
     def test_cw_substitution_sums_to_qmultinom(self):
         # sum_w c_w(a) q^{sum of a_j over R(w)} telescopes back to q-Dyson
@@ -112,6 +118,18 @@ class TestBressoudGoulden:
                 for I in itertools.combinations(range(1, n + 1), size):
                     assert holds(verify_bg_general(a, set(I)))
 
+    def test_verify_rejects_index_below_one(self):
+        with pytest.raises(ValueError):
+            verify_bg_general(a=[1, 2], I=[-1])
+
+    def test_rhs_rejects_index_zero(self):
+        with pytest.raises(ValueError):
+            rhs_bg_general((1, 2), {0})
+
+    def test_kernel_rejects_index_above_n(self):
+        with pytest.raises(ValueError):
+            bg_kernel((1, 2), {3})
+
     def test_alternating_equal_parameters_vanish(self):
         r = rhs_bg_alternating((1, 1))
         assert r.is_zero
@@ -140,6 +158,27 @@ class TestTournaments:
             if t.is_transitive():
                 transitive += 1
         assert transitive == 6
+
+
+def _kadell_t_reference(k, m, a, table):
+    """The symbolic-t Kadell closed form from one per-a product,
+    (q^|a|)_m / (q^(|a|-a_k+1))_m * prod_i [sigma_i - 1; a_i - 1]_q (1 - q^sigma_i),
+    divided by prod_i (1 - q^(a_w(1)+...+a_w(i))) for each w with w(n) = k."""
+    n = len(a)
+    sigma = partial_sums(a)
+    total = sigma[-1]
+    base = Cyclo.qpoch(total, m) / Cyclo.qpoch(total - a[k - 1] + 1, m)
+    for i in range(1, n + 1):
+        base = (base * Cyclo.qbinom(sigma[i - 1] - 1, a[i - 1] - 1)
+                * Cyclo.one_minus_q(sigma[i - 1]))
+    out = MPoly.zero(table)
+    for w in Permutation.all_perms(n):
+        if w(n) == k:
+            coeff = base
+            for i in range(1, n + 1):
+                coeff = coeff / Cyclo.one_minus_q(w_sigma(a, w, i))
+            out = out + t_monomial(table, w.recording_set()) * coeff.expand()
+    return out
 
 
 class TestKadell:
@@ -184,6 +223,16 @@ class TestKadell:
                     v = (0,) * (k - 1) + (m,) + (0,) * (n - k)
                     sym = rhs_kadell_t(k, m, a).subst_t_qpowers(powers)
                     assert sym.to_intpoly() == rhs_kadell(v, a)
+
+    def test_kadell_t_matches_per_a_product(self):
+        # parts of 2 make the Pochhammer ratio differ from 1
+        for n in range(1, 5):
+            table = table_kernel(n)
+            for a in itertools.product((1, 2), repeat=n):
+                for k in range(1, n + 1):
+                    for m in (1, 2, 3):
+                        assert (rhs_kadell_t(k, m, a, table)
+                                == _kadell_t_reference(k, m, a, table)), (k, m, a)
 
     def test_kadell_t_m_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -99,10 +99,6 @@ class TestIntPolyArith:
         p = IntPoly({-1: 1, 1: 1})
         assert p * p == IntPoly({-2: 1, 0: 2, 2: 1})
 
-    def test_pow(self):
-        p = IntPoly({0: 1, 1: 1})
-        assert p ** 3 == IntPoly({0: 1, 1: 3, 2: 3, 3: 1})
-
     def test_exact_div(self):
         num = IntPoly({0: 1, 2: -1})
         den = IntPoly({0: 1, 1: -1})
@@ -128,13 +124,6 @@ class TestIntPolyArith:
         q_minus_1 = IntPoly({0: -1, 1: 1})  # positive leading coefficient
         assert poly_gcd(a, b) == q_minus_1
         assert poly_gcd(a * 6, b * 4) == q_minus_1 * 2
-
-    def test_render_parse_roundtrip(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            p = IntPoly({rng.randrange(-5, 8): rng.randrange(-9, 10)
-                         for _ in range(rng.randrange(0, 6))})
-            assert IntPoly.parse(str(p)) == p
 
     def test_render_examples(self):
         assert str(qpoch(1, 2)) == "1 - q - q^2 + q^3"

@@ -1,13 +1,14 @@
 import itertools
 import random
 
+import pytest
+
 from dysonct.combi import Permutation, conjugate, partitions_upto, reverse, staircase
 from dysonct.mpoly import MPoly, product, table_x
 from dysonct.qpoly import IntPoly, qbinom
 from dysonct.symfun import (
-    Alphabet, complete_h, divided_difference, hook_content, isobaric_pi,
-    isobaric_pihat, key_poly, keyhat_poly, scalar_product, schur_onevar_value,
-    schur_principal,
+    complete_h, divided_difference, hook_content, isobaric_pi, isobaric_pihat,
+    key_poly, keyhat_poly, scalar_product, schur_onevar_value, schur_principal,
 )
 
 
@@ -82,16 +83,16 @@ def alternant(table, mu):
 class TestCompleteH:
     def test_h0(self):
         t = table_x(2)
-        assert complete_h(0, Alphabet((1, 1)), t) == MPoly.one(t)
+        assert complete_h(0, (1, 1), t) == MPoly.one(t)
 
     def test_h1_geometric(self):
         t = table_x(1)
-        h = complete_h(1, Alphabet((2,)), t)
+        h = complete_h(1, (2,), t)
         assert h == x(t, 1) + x(t, 1) * IntPoly({1: 1})
 
     def test_h2_two_letters(self):
         t = table_x(2)
-        h = complete_h(2, Alphabet((1, 1)), t)
+        h = complete_h(2, (1, 1), t)
         assert h == x(t, 1, 2) + x(t, 1) * x(t, 2) + x(t, 2, 2)
 
     def test_oracle_monomial_enumeration(self):
@@ -103,7 +104,7 @@ class TestCompleteH:
             expected = MPoly.zero(t)
             for combo in itertools.combinations_with_replacement(letters, m):
                 expected = expected + product(list(combo), t)
-            assert complete_h(m, Alphabet(a), t) == expected
+            assert complete_h(m, a, t) == expected
 
 
 class TestSchur:
@@ -118,7 +119,7 @@ class TestSchur:
             for a in itertools.product((0, 1, 2), repeat=n):
                 for m in range(4):
                     assert schur_principal((m,), a, t) == complete_h(
-                        m, Alphabet(a), t)
+                        m, a, t)
 
     def test_against_ssyt_oracle(self):
         for n in (2, 3):
@@ -178,6 +179,11 @@ class TestHookContent:
 
     def test_column_example(self):
         assert hook_content((1, 1), 2) == IntPoly({1: 1})
+
+    def test_rejects_non_partition(self):
+        for lam in ((1, -1), (1, 2)):
+            with pytest.raises(ValueError):
+                hook_content(lam, 2)
 
     def test_matches_schur_at_one_variable(self):
         for a in range(5):
