@@ -77,25 +77,20 @@ class RunConfig:
 # Each yields (identity, params) tasks, params exactly as the report prints
 # them and as identities.verify_<identity> takes them.
 
-def _apos(cfg):
-    for a in itertools.product(range(1, cfg.a_max + 1), repeat=cfg.n):
-        if cfg.sum_max is None or sum(a) <= cfg.sum_max:
-            yield list(a)
-
-
-def _annn(cfg):
-    for a in itertools.product(range(0, cfg.a_max + 1), repeat=cfg.n):
+def _a_values(cfg, low: int = 1):
+    """Every a with n parts in low..a_max and, if set, |a| <= sum_max."""
+    for a in itertools.product(range(low, cfg.a_max + 1), repeat=cfg.n):
         if cfg.sum_max is None or sum(a) <= cfg.sum_max:
             yield list(a)
 
 
 def _enum_qdyson(cfg):
-    for a in _annn(cfg):
+    for a in _a_values(cfg, 0):
         yield "q-dyson", {"a": a}
 
 
 def _enum_poincare(cfg):
-    for a in _apos(cfg):
+    for a in _a_values(cfg):
         yield "poincare", {"a": a}
 
 
@@ -110,34 +105,34 @@ def _enum_wtd(cfg):
 
 
 def _enum_bg_general(cfg):
-    for a in _apos(cfg):
+    for a in _a_values(cfg):
         for size in range(cfg.n + 1):
             for I in itertools.combinations(range(1, cfg.n + 1), size):
                 yield "bg-general", {"a": a, "I": list(I)}
 
 
 def _enum_bg_alternating(cfg):
-    for a in _apos(cfg):
+    for a in _a_values(cfg):
         yield "bg-alternating", {"a": a}
 
 
 def _enum_tournament(cfg):
     edges = [Tournament.from_pairset(S, cfg.n).serialize()
              for S in sorted(all_pairsets(cfg.n), key=sorted)]
-    for a in _apos(cfg):
+    for a in _a_values(cfg):
         for e in edges:
             yield "tournament", {"a": a, "edges": e}
 
 
 def _enum_kadell(cfg):
-    for a in _annn(cfg):
+    for a in _a_values(cfg, 0):
         for m in range(1, cfg.m_max + 1):
             for v in all_compositions(m, cfg.n):
                 yield "kadell", {"a": a, "v": list(v)}
 
 
 def _enum_kadell_t(cfg):
-    for a in _apos(cfg):
+    for a in _a_values(cfg):
         for m in range(1, cfg.m_max + 1):
             for k in range(1, cfg.n + 1):
                 yield "kadell-t", {"a": a, "m": m, "k": k}
@@ -147,7 +142,7 @@ def _enum_strict(cfg):
     lams = [list(lam) for lam in
             itertools.product(range(cfg.m_max + 1), repeat=cfg.n)
             if is_strict(lam)]
-    for a in _apos(cfg):
+    for a in _a_values(cfg):
         for lam in lams:
             for w in Permutation.all_perms(cfg.n):
                 yield "strict", {"a": a, "lam": lam, "w": w.serialize()}
@@ -163,7 +158,7 @@ def _enum_usum(cfg):
 
 def _enum_prop_kappa(cfg):
     m = cfg.m_max
-    for a in _apos(cfg):
+    for a in _a_values(cfg):
         for kappa in all_zero_one_matrices(cfg.n, m):
             for lam, w in ids.solve_column_relation(kappa, m):
                 yield "prop-kappa", {"a": a, "kappa": kappa.serialize(),
@@ -172,7 +167,7 @@ def _enum_prop_kappa(cfg):
 
 def _enum_prop_zero(cfg):
     m = cfg.m_max
-    for a in _apos(cfg):
+    for a in _a_values(cfg):
         for kappa in all_zero_one_matrices(cfg.n, m):
             if kappa.is_left_justified():
                 continue
@@ -183,13 +178,13 @@ def _enum_prop_zero(cfg):
 
 def _enum_prop_vnu(cfg):
     m = cfg.m_max
-    for a in _apos(cfg):
+    for a in _a_values(cfg):
         for v in itertools.product(range(m + 1), repeat=cfg.n):
             yield "prop-vnu", {"a": a, "v": list(v), "m": m}
 
 
 def _enum_sills(cfg):
-    for a in _annn(cfg):
+    for a in _a_values(cfg, 0):
         for r, s in itertools.permutations(range(1, cfg.n + 1), 2):
             yield "sills", {"a": a, "r": r, "s": s}
 
@@ -206,7 +201,7 @@ def _lxz_vs(n):
 
 def _enum_lxz(cfg):
     vs = _lxz_vs(cfg.n)
-    for a in _annn(cfg):
+    for a in _a_values(cfg, 0):
         for v in vs:
             yield "lxz", {"a": a, "v": v}
 
@@ -214,7 +209,7 @@ def _enum_lxz(cfg):
 def _enum_interp_dyson(cfg):
     rng = random.Random(cfg.seed)
     all_s = sorted(all_pairsets(cfg.n), key=sorted)
-    for a in _apos(cfg):
+    for a in _a_values(cfg):
         if cfg.n <= 3:
             chosen = all_s
         else:
@@ -224,13 +219,13 @@ def _enum_interp_dyson(cfg):
 
 
 def _enum_interp_closed(cfg):
-    for a in _apos(cfg):
+    for a in _a_values(cfg):
         for w in Permutation.all_perms(cfg.n):
             yield "interp-closed", {"a": a, "w": w.serialize()}
 
 
 def _enum_interp_sills(cfg):
-    for a in _apos(cfg):
+    for a in _a_values(cfg):
         for r in range(2, cfg.n + 1):
             yield "interp-sills", {"a": a, "r": r}
 

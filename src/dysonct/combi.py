@@ -221,34 +221,16 @@ def ell_stats(S, n: int):
     return tuple(d[1:]), tuple(e[1:]), ell, K
 
 
-def _restrict_pairset(S, alpha: int) -> frozenset:
-    """The induced pair set on {1..n-1} after deleting index alpha."""
-    out = set()
-    for i, j in S:
-        ii = i - (1 if i > alpha else 0)
-        jj = j - (1 if j > alpha else 0)
-        if i != alpha and j != alpha:
-            out.add((ii, jj))
-    return frozenset(out)
-
-
 def pairset_to_perm(S, n: int):
     """The w with S = R(w), if one exists (i.e. iff K(S) = n), else None.
 
-    Follows the inductive construction: the index alpha with ell_alpha = 0
-    becomes w(n), and the restriction of S to the remaining indices is the
-    recording set of the shorter word.
+    For S = R(w), ell_{w(j)} = n - j, so w(j) is the index whose ell is
+    n - j.
     """
     _, _, ell, K = ell_stats(S, n)
     if K < n:
         return None
-    if n == 0:
-        return Permutation(())
-    alpha = ell.index(0) + 1
-    sub = pairset_to_perm(_restrict_pairset(S, alpha), n - 1)
-    word = [v + (1 if v >= alpha else 0) for v in sub.word]
-    word.append(alpha)
-    return Permutation(word)
+    return Permutation(ell.index(n - j) + 1 for j in range(1, n + 1))
 
 
 # -- tournaments ---------------------------------------------------------------

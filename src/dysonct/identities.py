@@ -33,7 +33,7 @@ import json
 
 from .combi import (
     Permutation, Tournament, ZeroOneMatrix, left_justified_from_rows,
-    all_pairs, ell_stats, partial_sums, sort_desc, reverse, staircase,
+    ell_stats, partial_sums, sort_desc, reverse, staircase,
     conjugate, is_partition, is_strict, weight,
 )
 from .interp import (
@@ -84,13 +84,24 @@ def t_coefficients(p: MPoly) -> dict:
     return {texp: IntPoly(d) for texp, d in out.items()}
 
 
-def serialize_t_coefficients(coeffs: dict, pairs) -> str:
+def _t_report(p: MPoly, coeffs: dict | None = None) -> str:
+    """The t-coefficients of p (``coeffs``, when the caller has them) as
+    JSON {t-monomial: q-polynomial}, named after the pairs of ``p.table``."""
     body = {}
-    for texp, poly in sorted(coeffs.items()):
+    for texp, poly in sorted((coeffs or t_coefficients(p)).items()):
         name = "*".join(f"t[{i},{j}]^{e}" if e != 1 else f"t[{i},{j}]"
-                        for (i, j), e in zip(pairs, texp) if e) or "1"
+                        for (i, j), e in zip(p.table.t_pairs, texp) if e) or "1"
         body[name] = str(poly)
     return json.dumps(body, sort_keys=True)
+
+
+def _poincare_sum(table: VarTable, perms, weight) -> MPoly:
+    """sum over ``perms`` of weight(w) t_{R(w)}: every right side with one
+    t per pair is a weighted Poincare sum."""
+    out = MPoly.zero(table)
+    for w in perms:
+        out = out + t_monomial(table, w.recording_set()) * weight(w)
+    return out
 
 
 # -- closed forms ---------------------------------------------------------------
@@ -128,20 +139,15 @@ def rhs_poincare_qdyson(a, table: VarTable | None = None) -> MPoly:
     a = tuple(a)
     if table is None:
         table = table_kernel(len(a))
-    out = MPoly.zero(table)
-    for w in Permutation.all_perms(len(a)):
-        out = out + t_monomial(table, w.recording_set()) * c_w(a, w)
-    return out
+    return _poincare_sum(table, Permutation.all_perms(len(a)),
+                         lambda w: c_w(a, w))
 
 
 def poincare_W(n: int, table: VarTable | None = None) -> MPoly:
     """The multivariable Poincare polynomial sum_w t_{R(w)}."""
     if table is None:
         table = table_kernel(n)
-    out = MPoly.zero(table)
-    for w in Permutation.all_perms(n):
-        out = out + t_monomial(table, w.recording_set())
-    return out
+    return _poincare_sum(table, Permutation.all_perms(n), lambda w: 1)
 
 
 def poincare_single_product(n: int) -> IntPoly:
@@ -221,6 +227,8 @@ def rhs_kadell(v, a) -> IntPoly:
     """Closed form for CT[x^{-v} h_m(x^(a)) * Dyson kernel], |v| = m >= 1."""
     v = tuple(v)
     a = tuple(a)
+    if len(v) != len(a):
+        raise ValueError("v and a must share a length")
     m = weight(v)
     if m < 1:
         raise ValueError("rhs_kadell needs |v| >= 1")
@@ -257,13 +265,8 @@ def rhs_kadell_t(k: int, m: int, a, table: VarTable | None = None) -> MPoly:
         table = table_kernel(n)
     total = sum(a)
     ratio = Cyclo.qpoch(total, m) / Cyclo.qpoch(total - a[k - 1] + 1, m)
-    out = MPoly.zero(table)
-    for w in Permutation.all_perms(n):
-        if w(n) != k:
-            continue
-        coeff = (ratio * _c_w_cyclo(a, w)).expand()
-        out = out + t_monomial(table, w.recording_set()) * coeff
-    return out
+    return _poincare_sum(table, (w for w in Permutation.all_perms(n) if w(n) == k),
+                         lambda w: (ratio * _c_w_cyclo(a, w)).expand())
 
 
 def rhs_strict(lam, a, w: Permutation) -> IntPoly:
@@ -273,6 +276,8 @@ def rhs_strict(lam, a, w: Permutation) -> IntPoly:
     n = len(a)
     if len(lam) != n:
         raise ValueError("lam must have the full length n (pad with zeros)")
+    if w.n != n:
+        raise ValueError(f"w permutes {w.n} letters and a has {n} parts")
     if not is_strict(lam):
         raise ValueError(f"not a strict partition: {lam}")
     if any(x < 1 for x in a):
@@ -406,31 +411,24 @@ def solve_column_relation(kappa, m: int):
 
 
 def prop_kappa_sides(kappa, lam, w: Permutation, a):
-    """Both sides of the kappa-extraction identity as t-coefficient maps."""
+    """Both sides of the kappa-extraction identity, as polynomials in q and t."""
     a = tuple(a)
     n, m = kappa.shape
     if len(a) != n:
         raise ValueError("a must have one entry per row of kappa")
-    lam_full = tuple(lam) + (0,) * (sum(a) - len(lam))
-    lhs = D_vlambda(kappa.row_sums(), tuple(x for x in lam if x), a, "symbolic")
+    lhs = D_vlambda(kappa.row_sums(), lam, a, "symbolic")
     exps = {(i + 1, j + 1): kappa.rows[i][j]
             for i in range(n) for j in range(m) if kappa.rows[i][j]}
     rhs = d0_tau_ct(a, m).coeff_aux("s", exps) * w.sign()
-    return t_coefficients(lhs), t_coefficients(rhs)
+    return lhs, rhs
 
 
 def prop_vnu_sides(v, a, m: int):
-    """Both sides of the rectangle-composition extraction identity."""
-    v = tuple(v)
-    a = tuple(a)
-    if any(x < 0 or x > m for x in v):
-        raise ValueError(f"v must fit in the n x {m} rectangle")
-    kappa = left_justified_from_rows(v, m)
-    lam = tuple(x for x in sort_desc(v) if x)
-    lhs = D_vlambda(v, lam, a, "symbolic")
-    exps = {(i + 1, j + 1): 1 for i in range(len(v)) for j in range(v[i])}
-    rhs = d0_tau_ct(a, m).coeff_aux("s", exps)
-    return t_coefficients(lhs), t_coefficients(rhs)
+    """Both sides of the rectangle-composition extraction identity: the
+    kappa identity for the left-justified kappa with row sums v, whose
+    column relation holds with lam = v sorted and w the identity."""
+    return prop_kappa_sides(left_justified_from_rows(v, m), sort_desc(v),
+                            Permutation.identity(m), a)
 
 
 def contributing_perms(lam_bar, a, m: int):
@@ -591,17 +589,15 @@ def verify_poincare(a):
     a = tuple(a)
     n = len(a)
     table = table_kernel(n)
-    lhs = t_coefficients(tkernel(a, table).ct_x())
-    rhs = t_coefficients(rhs_poincare_qdyson(a, table))
-    lhs_str = serialize_t_coefficients(lhs, table.t_pairs)
+    lhs = tkernel(a, table).ct_x()
+    coeffs = t_coefficients(lhs)
+    lhs_str = _t_report(lhs, coeffs)
     # independent support check: only recording sets may appear
-    pairs = sorted(all_pairs(n))
-    for texp in lhs:
-        S = frozenset(p for p, e in zip(pairs, texp) if e)
-        _, _, _, K = ell_stats(S, n)
-        if K != n:
+    for texp in coeffs:
+        S = frozenset(p for p, e in zip(table.t_pairs, texp) if e)
+        if ell_stats(S, n)[3] != n:
             lhs_str += f" [nonzero at K<{n}: {sorted(S)}]"
-    return lhs_str, serialize_t_coefficients(rhs, table.t_pairs)
+    return lhs_str, _t_report(rhs_poincare_qdyson(a, table))
 
 
 def verify_poincare_equal(n: int, k: int):
@@ -649,10 +645,8 @@ def verify_kadell_t(k: int, m: int, a):
     n = len(a)
     v = (0,) * (k - 1) + (m,) + (0,) * (n - k)
     table = table_kernel(n)
-    lhs = D_vlambda(v, (m,), a, "symbolic", table)
-    rhs = rhs_kadell_t(k, m, a, table)
-    return (serialize_t_coefficients(t_coefficients(lhs), table.t_pairs),
-            serialize_t_coefficients(t_coefficients(rhs), table.t_pairs))
+    return (_t_report(D_vlambda(v, (m,), a, "symbolic", table)),
+            _t_report(rhs_kadell_t(k, m, a, table)))
 
 
 def verify_strict(lam, a, w: str):
@@ -671,11 +665,8 @@ def verify_usum_k(n: int, k: int):
 
 
 def verify_prop_kappa(kappa: str, lam, w: str, a):
-    lhs, rhs = prop_kappa_sides(ZeroOneMatrix.parse(kappa), lam,
-                                Permutation.parse(w), a)
-    pairs = table_kernel(len(a)).t_pairs
-    return (serialize_t_coefficients(lhs, pairs),
-            serialize_t_coefficients(rhs, pairs))
+    return tuple(map(_t_report, prop_kappa_sides(
+        ZeroOneMatrix.parse(kappa), lam, Permutation.parse(w), a)))
 
 
 def verify_prop_zero(kappa: str, lam, a):
@@ -685,10 +676,7 @@ def verify_prop_zero(kappa: str, lam, a):
 
 
 def verify_prop_vnu(v, a, m: int):
-    lhs, rhs = prop_vnu_sides(v, a, m)
-    pairs = table_kernel(len(a)).t_pairs
-    return (serialize_t_coefficients(lhs, pairs),
-            serialize_t_coefficients(rhs, pairs))
+    return tuple(map(_t_report, prop_vnu_sides(v, a, m)))
 
 
 def verify_sills(a, r: int, s: int):
@@ -739,6 +727,8 @@ def verify_schur_monomial(lam, v):
     lam + delta, and 0 when there is none."""
     lam, v = tuple(lam), tuple(v)
     n = len(lam)
+    if len(v) != n:
+        raise ValueError("lam and v must share a length")
     t = table_x(n)
     got = scalar_product(
         schur_principal(lam, (1,) * n, t),

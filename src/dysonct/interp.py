@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combi import Permutation, ell_stats, partial_sums
+from .combi import Permutation, ell_stats
 from .mpoly import MPoly, product, table_x
 from .qpoly import Cyclo, IntPoly, QRat, q_power_diff
 
@@ -94,22 +94,25 @@ def generic_coeff(F: MPoly, d, grid: Grid) -> QRat:
 
 # -- the deformed Dyson coefficient ------------------------------------------------
 
-def fs_factors(a, S):
-    """(sign, factors) of the homogenised coefficient polynomial F_S.
-
-    Each factor (u, v, k) stands for (x_u - x_v q^k); the sign is
-    (-1)^{number of pairs in S}.
-    """
+def _pair_factors(a, deficit: int) -> list:
+    """Factors (u, v, k), each (x_u - x_v q^k), whose product is x^d times
+    prod_{i<j} (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j - deficit}, d_u the number
+    of factors with first index u; ``deficit`` is that of ``kernel_factors``
+    (1 for the t -> 0 kernel, 0 for the Dyson kernel)."""
     a = tuple(a)
     n = len(a)
     factors = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            for k in range(a[i - 1]):
-                factors.append((j, i, k))
-            for k in range(1, a[j - 1]):
-                factors.append((i, j, k))
-    return (-1) ** len(S), factors
+            factors += [(j, i, k) for k in range(a[i - 1])]
+            factors += [(i, j, k) for k in range(1, a[j - 1] - deficit + 1)]
+    return factors
+
+
+def fs_factors(a, S):
+    """(sign, factors) of the homogenised coefficient polynomial F_S: the
+    t -> 0 kernel's factors, with sign (-1)^{number of pairs in S}."""
+    return (-1) ** len(S), _pair_factors(a, 1)
 
 
 def fs_polynomial(a, S, table=None) -> MPoly:
@@ -152,6 +155,28 @@ def _interpolation_term(sign, factors, grid: Grid, alpha) -> Cyclo:
     return _factored(sign, factors, alpha,
                      [(a_i, b) for b_set, a_i in zip(grid.points, alpha)
                       for b in b_set if b != a_i])
+
+
+def _survivor_term(a, sign, factors, grid: Grid, pi):
+    """(value, survivors) of the interpolation over ``grid``: with pi the
+    one survivor must be the point alpha_{pi(i)} = a_{pi(1)} + ... +
+    a_{pi(i-1)} and the value is its interpolation term; with pi None no
+    point may survive and the value is zero."""
+    survivors = scan_survivors(sign, factors, grid)
+    expected = []
+    if pi is not None:
+        point = [0] * len(a)
+        acc_sum = 0
+        for i in range(1, len(a) + 1):
+            point[pi(i) - 1] = acc_sum
+            acc_sum += a[pi(i) - 1]
+        expected.append(tuple(point))
+    if survivors != expected:
+        raise AssertionError(f"surviving points {survivors}, expected the "
+                             f"partial sums {expected}")
+    value = (_interpolation_term(sign, factors, grid, survivors[0]).expand()
+             if survivors else IntPoly())
+    return value, survivors
 
 
 def dyson_grid(a, S, rng=None):
@@ -210,24 +235,7 @@ def dyson_coeff_interpolated(a, S, rng=None):
     """
     a = tuple(a)
     grid, pi = dyson_grid(a, S, rng)
-    sign, factors = fs_factors(a, S)
-    survivors = scan_survivors(sign, factors, grid)
-    if len(survivors) > 1:
-        raise AssertionError(f"multiple surviving points: {survivors}")
-    if (pi is not None) != (len(survivors) == 1):
-        raise AssertionError("survivor count does not match the K dichotomy")
-    if pi is not None:
-        expected = [0] * len(a)
-        acc_sum = 0
-        for i in range(1, len(a) + 1):
-            expected[pi(i) - 1] = acc_sum
-            acc_sum += a[pi(i) - 1]
-        if survivors[0] != tuple(expected):
-            raise AssertionError(
-                f"survivor {survivors[0]} is not at the partial sums {expected}")
-    value = (_interpolation_term(sign, factors, grid, survivors[0]).expand()
-             if survivors else IntPoly())
-    return value, survivors, pi
+    return _survivor_term(a, *fs_factors(a, S), grid, pi) + (pi,)
 
 
 # -- the factorised closed evaluation ----------------------------------------------
@@ -246,6 +254,8 @@ def closed_eval(a, w: Permutation) -> IntPoly:
     n = len(a)
     if any(x < 1 for x in a):
         raise ValueError("closed_eval needs positive a")
+    if w.n != n:
+        raise ValueError(f"w permutes {w.n} letters and a has {n} parts")
     pi = w
     s = [0] * (n + 2)  # s[1..n+1]
     for i in range(1, n + 1):
@@ -298,16 +308,7 @@ def closed_eval(a, w: Permutation) -> IntPoly:
 
 def sills_factors(a):
     """Factored form of the homogenised plain Dyson product."""
-    a = tuple(a)
-    n = len(a)
-    factors = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(a[i - 1]):
-                factors.append((j, i, k))
-            for k in range(1, a[j - 1] + 1):
-                factors.append((i, j, k))
-    return 1, factors
+    return 1, _pair_factors(a, 0)
 
 
 def sills_grid(a, r: int, keep_excluded: bool = False) -> Grid:
@@ -383,14 +384,5 @@ def sills_coeff_interpolated(a, r: int):
     would be flagged as an assertion failure.
     """
     a = tuple(a)
-    grid = sills_grid(a, r)
-    sign, factors = sills_factors(a)
-    survivors = scan_survivors(sign, factors, grid)
-    if len(survivors) != 1:
-        raise AssertionError(f"expected a unique surviving point, got {survivors}")
-    expected = tuple(partial_sums((0,) + a[:-1]))
-    if survivors[0] != expected:
-        raise AssertionError(
-            f"survivor {survivors[0]} is not at the partial sums {expected}")
-    value = _interpolation_term(sign, factors, grid, survivors[0]).expand()
-    return value, survivors
+    return _survivor_term(a, *sills_factors(a), sills_grid(a, r),
+                          Permutation.identity(len(a)))

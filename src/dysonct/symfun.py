@@ -152,6 +152,8 @@ def _key(v, table, op):
         raise ValueError("key polynomials need a composition")
     if table is None:
         table = table_x(len(v))
+    elif len(v) != table.nx:
+        raise ValueError(f"{len(v)} parts for {table.nx} x-variables")
     dominant, word = _sorting_word(v)
     f = MPoly.monomial(table, {table.x_index(i + 1): e
                                for i, e in enumerate(dominant) if e})

@@ -131,16 +131,18 @@ class TestPairsetToPerm:
         assert pairset_to_perm(frozenset(), 4) == Permutation.identity(4)
 
     def test_roundtrip_s4(self):
-        for w in Permutation.all_perms(4):
-            assert pairset_to_perm(w.recording_set(), 4) == w
+        for n in range(6):
+            for w in Permutation.all_perms(n):
+                assert pairset_to_perm(w.recording_set(), n) == w
 
     def test_exists_iff_K_equals_n(self):
-        for S in all_pairsets(4):
-            _, _, _, K = ell_stats(S, 4)
-            w = pairset_to_perm(S, 4)
-            assert (w is not None) == (K == 4)
-            if w is not None:
-                assert w.recording_set() == S
+        for n in range(6):
+            for S in all_pairsets(n):
+                _, _, _, K = ell_stats(S, n)
+                w = pairset_to_perm(S, n)
+                assert (w is not None) == (K == n)
+                if w is not None:
+                    assert w.recording_set() == S
 
     def test_ell_of_recording_set(self):
         # ell_{w(j)} = n - j when S = R(w)
@@ -152,7 +154,7 @@ class TestPairsetToPerm:
                     assert ell[w(j) - 1] == n - j
 
     def test_brute_force_oracle(self):
-        # the inductive construction agrees with searching all of S_4
+        # the read-off agrees with searching all of S_4
         by_recording = {w.recording_set(): w for w in Permutation.all_perms(4)}
         for S in all_pairsets(4):
             assert pairset_to_perm(S, 4) == by_recording.get(S)

@@ -15,8 +15,9 @@ from dysonct.identities import (
     t_monomial, usum_cleared_sides, usum_k_cleared_sides, verify_bg_general,
     verify_kadell, verify_kadell_t, verify_lxz, verify_poincare,
     verify_poincare_equal, verify_prop_kappa, verify_prop_vnu,
-    verify_prop_zero, verify_q_dyson, verify_sills, verify_strict,
-    verify_tournament, verify_usum, verify_usum_k, verify_wtd, w_sigma,
+    verify_prop_zero, verify_q_dyson, verify_scalar_kkhat,
+    verify_schur_monomial, verify_sills, verify_strict, verify_tournament,
+    verify_usum, verify_usum_k, verify_wtd, w_sigma,
 )
 from dysonct.mpoly import (
     MPoly, bg_kernel, product, table_kernel, table_u, tkernel,
@@ -207,6 +208,14 @@ class TestKadell:
                 for v in all_compositions(m, 2):
                     assert holds(verify_kadell(v, a)), (v, a)
 
+    def test_v_shorter_than_a_rejected(self):
+        with pytest.raises(ValueError):
+            rhs_kadell((1,), (1, 1))
+
+    def test_v_longer_than_a_rejected(self):
+        with pytest.raises(ValueError):
+            rhs_kadell((0, 1), (1,))
+
     def test_kadell_t_small(self):
         assert holds(verify_kadell_t(1, 1, (1, 1)))
         assert holds(verify_kadell_t(2, 1, (1, 1)))
@@ -268,6 +277,20 @@ class TestStrict:
     def test_non_strict_rejected(self):
         with pytest.raises(ValueError):
             rhs_strict((2, 2), (1, 1), Permutation.identity(2))
+
+    def test_w_of_another_length_rejected(self):
+        with pytest.raises(ValueError):
+            rhs_strict((3, 1, 0), (1, 2, 1), Permutation((1, 2, 3, 4)))
+
+
+class TestScalarProductCheckers:
+    def test_schur_monomial_rejects_v_shorter_than_lam(self):
+        with pytest.raises(ValueError):
+            verify_schur_monomial([1, 0], [1])
+
+    def test_scalar_kkhat_rejects_w_longer_than_v(self):
+        with pytest.raises(ValueError):
+            verify_scalar_kkhat([1, 0], [0, 1, 0])
 
 
 def _u_binomial(table, subset):

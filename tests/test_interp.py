@@ -7,7 +7,7 @@ import dysonct.identities as identities
 import dysonct.interp as interp
 from dysonct.cli import RunConfig, run
 from dysonct.combi import (
-    Permutation, all_pairsets, ell_stats, pairset_to_perm,
+    Permutation, all_pairs, all_pairsets, ell_stats, pairset_to_perm,
 )
 from dysonct.identities import c_w, rhs_sills, sills_lhs, t_coefficients
 from dysonct.interp import (
@@ -16,7 +16,9 @@ from dysonct.interp import (
     generic_coeff, scan_survivors, sills_coeff_interpolated, sills_factors,
     sills_grid,
 )
-from dysonct.mpoly import MPoly, table_kernel, table_x, tkernel
+from dysonct.mpoly import (
+    MPoly, dyson_kernel, product, table_kernel, table_x, tkernel, tzero_kernel,
+)
 from dysonct.qpoly import IntPoly, QRat
 
 
@@ -176,6 +178,10 @@ class TestClosedEval:
         with pytest.raises(ValueError):
             closed_eval((1, 0), Permutation.identity(2))
 
+    def test_rejects_w_of_another_length(self):
+        with pytest.raises(ValueError):
+            closed_eval((1, 2), Permutation((2, 1, 3)))
+
     def test_wrong_closed_evaluation_fails_the_grid(self, monkeypatch):
         # closed_eval does not compare itself with c_w; the interp-closed
         # checker does, so a wrong value must end the grid with FAIL
@@ -285,3 +291,35 @@ class TestPrunedScan:
         factors = [(1, 1, 2), (2, 1, 0)]
         assert scan_survivors(1, factors, grid) == \
             _scan_every_point(1, factors, grid)
+
+
+def _factor_product(sign, factors, table):
+    """prod (x_u - x_v q^k) over the factors, times sign, and the x^d it
+    homogenises by, d_u the number of factors whose first index is u."""
+    polys = [MPoly.monomial(table, {table.x_index(u): 1})
+             - MPoly.monomial(table, {0: k, table.x_index(v): 1})
+             for u, v, k in factors]
+    d = {}
+    for u, _, _ in factors:
+        d[table.x_index(u)] = d.get(table.x_index(u), 0) + 1
+    return product(polys, table) * sign, MPoly.monomial(table, d)
+
+
+class TestFactorListsMatchKernels:
+    """interp's homogenised factor lists against mpoly.kernel_factors."""
+
+    def test_fs_factors_are_the_tzero_kernel(self):
+        for n in range(1, 5):
+            table = table_x(n)
+            for a in itertools.product((1, 2), repeat=n):
+                kernel = tzero_kernel(a, table).expand()
+                for S in (frozenset(), frozenset(all_pairs(n))):
+                    got, x_d = _factor_product(*fs_factors(a, S), table)
+                    assert got == x_d * kernel * (-1) ** len(S), (a, S)
+
+    def test_sills_factors_are_the_dyson_kernel(self):
+        for n in range(1, 5):
+            table = table_x(n)
+            for a in itertools.product((1, 2), repeat=n):
+                got, x_d = _factor_product(*sills_factors(a), table)
+                assert got == x_d * dyson_kernel(a, table).expand(), a
