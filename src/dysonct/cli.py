@@ -436,9 +436,11 @@ def _ct_command(args, out):
     if len(v) != n:
         print(f"coefficient vector must have length {n}", file=sys.stderr)
         return 2
-    if args.t_mode is not None and args.kernel != "tkernel":
-        print("--t-mode applies only to the tkernel kernel", file=sys.stderr)
-        return 2
+    for flag, value, kernel in (("--t-mode", args.t_mode, "tkernel"),
+                                ("--edges", args.edges, "tournament")):
+        if value is not None and args.kernel != kernel:
+            print(f"{flag} applies only to the {kernel} kernel", file=sys.stderr)
+            return 2
     if args.kernel == "dyson":
         kern = dyson_kernel(a)
     elif args.kernel == "tkernel":

@@ -44,7 +44,7 @@ from .mpoly import (
     kernel_factors, table_kernel, table_u, table_x, tau_kernel,
     tkernel, tournament_kernel, tzero_kernel,
 )
-from .qpoly import Cyclo, CycloBasis, IntPoly, qbinom, qmultinom
+from .qpoly import Cyclo, CycloBasis, IntPoly, qmultinom
 from .symfun import (
     hook_content, key_poly, keyhat_poly, scalar_product, schur_onevar_value,
     schur_principal,
@@ -151,11 +151,11 @@ def poincare_W(n: int, table: VarTable | None = None) -> MPoly:
 
 
 def poincare_single_product(n: int) -> IntPoly:
-    """prod_{i=2}^{n} (1 - t^i)/(1 - t) as an exact geometric product."""
-    out = IntPoly.const(1)
+    """prod_{i=2}^{n} (1 - t^i)/(1 - t), as a Cyclo expanded once."""
+    out = Cyclo()
     for i in range(2, n + 1):
-        out = out * IntPoly({e: 1 for e in range(i)})
-    return out
+        out = out * Cyclo.one_minus_q(i) / Cyclo.one_minus_q(1)
+    return out.expand()
 
 
 def rhs_bg_general(a, index_set) -> IntPoly:
@@ -389,9 +389,9 @@ def usum_k_cleared_sides(n: int, k: int):
 
 # -- (0,1)-matrix propositions ---------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4)
 def d0_tau_ct(a: tuple, m: int) -> MPoly:
-    """CT_x of the restricted-t kernel on n+m variables (cached)."""
+    """CT_x of the restricted-t kernel on n+m variables (last few a kept)."""
     return tau_kernel(a, m).ct_x()
 
 
@@ -603,10 +603,10 @@ def verify_poincare(a):
 def verify_poincare_equal(n: int, k: int):
     table = table_kernel(n)
     lhs = tkernel((k,) * n, table).ct_x()
-    scale = IntPoly.const(1)
+    scale = Cyclo()
     for i in range(1, n):
-        scale = scale * qbinom((i + 1) * k - 1, k - 1)
-    return str(lhs), str(poincare_W(n, table) * scale)
+        scale = scale * Cyclo.qbinom((i + 1) * k - 1, k - 1)
+    return str(lhs), str(poincare_W(n, table) * scale.expand())
 
 
 def verify_wtd(n: int):
@@ -671,8 +671,7 @@ def verify_prop_kappa(kappa: str, lam, w: str, a):
 
 def verify_prop_zero(kappa: str, lam, a):
     row_sums = ZeroOneMatrix.parse(kappa).row_sums()
-    return str(D_vlambda(row_sums, tuple(x for x in lam if x), a,
-                         "symbolic")), "0"
+    return str(D_vlambda(row_sums, lam, a, "symbolic")), "0"
 
 
 def verify_prop_vnu(v, a, m: int):

@@ -4,7 +4,8 @@ The generic lemma: for a polynomial F in x_1..x_n of total degree at most
 d_1 + ... + d_n and point sets A_i of size d_i + 1, the coefficient of
 prod x_i^{d_i} is the sum of F(c) / prod phi_i'(c_i) over the grid, with
 phi_i(z) = prod_{a in A_i} (z - a).  All grids here consist of integer
-powers of q, so every evaluation stays inside exact q-arithmetic.
+powers of q, so every term is a Cyclo and every sum stays inside exact
+q-arithmetic.
 
 On top of the generic extractor sit the two bespoke grids: one that makes
 at most a single point of the Poincare-deformed Dyson coefficient survive
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 from .combi import Permutation, ell_stats
 from .mpoly import MPoly, product, table_x
-from .qpoly import Cyclo, IntPoly, QRat, q_power_diff
+from .qpoly import Cyclo, CycloBasis, IntPoly
 
 
 class ClosedEvalError(AssertionError):
@@ -58,17 +59,10 @@ def default_grid(d) -> Grid:
     return Grid(tuple(tuple(range(di + 1)) for di in d))
 
 
-def phi_prime(b_set, alpha: int) -> IntPoly:
-    """phi'(q^alpha) = prod over the other grid exponents of (q^alpha - q^b)."""
-    out = IntPoly.const(1)
-    for b in b_set:
-        if b != alpha:
-            out = out * q_power_diff(alpha, b)
-    return out
-
-
-def generic_coeff(F: MPoly, d, grid: Grid) -> QRat:
-    """Coefficient of prod x_i^{d_i} in F by summation over the full grid."""
+def generic_coeff(F: MPoly, d, grid: Grid) -> IntPoly:
+    """Coefficient of prod x_i^{d_i} in F: the values F(q^alpha) on the
+    grid, summed against the Cyclo terms 1 / prod_i phi_i'(q^alpha_i) in
+    one CycloBasis, so a sum outside Z[q, 1/q] raises NonExactDivision."""
     d = tuple(d)
     table = F.table
     if len(d) != table.nx or grid.n != table.nx:
@@ -80,16 +74,13 @@ def generic_coeff(F: MPoly, d, grid: Grid) -> QRat:
     degs = F.x_degrees()
     if degs and max(degs) > sum(d):
         raise ValueError("total degree exceeds the interpolation bound")
-    acc = QRat(0)
+    values, terms = [], []
     for alpha in grid.iter_points():
         val = F.subst_x_qpower(alpha).to_intpoly()
-        if val.is_zero:
-            continue
-        den = IntPoly.const(1)
-        for b_set, a_i in zip(grid.points, alpha):
-            den = den * phi_prime(b_set, a_i)
-        acc = acc + QRat(val, den)
-    return acc
+        if not val.is_zero:
+            values.append(val)
+            terms.append(_interpolation_term(1, (), grid, alpha))
+    return CycloBasis(terms).combine(values)
 
 
 # -- the deformed Dyson coefficient ------------------------------------------------

@@ -24,9 +24,9 @@ with polynomial coefficients: it puts them over their common cyclotomic
 denominator and expands the numerators once, so each sum costs one
 exact division by that denominator.
 
-QRat is the field of quotients, the slow reference route (polynomial
-gcd) kept for the generic interpolation extractor and the tests.  Every
-QRat is kept in a canonical form:
+QRat is the field of quotients by polynomial gcd: no route of the package
+builds one, and the tests use it as the slow reference for the Cyclo
+route.  Every QRat is kept in a canonical form:
 
   * the denominator is nonzero, has lowest exponent 0 (any q-power shift
     lives in the numerator, which may be Laurent) and positive leading
@@ -584,9 +584,7 @@ class Cyclo:
     def qbinom(cls, n: int, m: int) -> "Cyclo":
         """The Gaussian binomial (q)_n / ((q)_m (q)_{n-m}); zero outside the
         range 0 <= m <= n."""
-        if m < 0 or m > n:
-            return cls(0)
-        return cls(1, 0, {d: n // d - m // d - (n - m) // d for d in range(1, n + 1)})
+        return cls.qmultinom((m, n - m)) if 0 <= m <= n else cls(0)
 
     @classmethod
     def qmultinom(cls, a) -> "Cyclo":

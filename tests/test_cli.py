@@ -170,6 +170,19 @@ class TestKernelCache:
         _, uncached = run(config)
         assert [strip(r) for r in cached] == [strip(r) for r in uncached]
 
+    def test_prop_kappa_keeps_at_most_four_tau_kernel_cts(self):
+        identities.d0_tau_ct.cache_clear()
+        try:
+            code, records = run(RunConfig("prop-kappa", n=2, a_max=3, m_max=2))
+            info = identities.d0_tau_ct.cache_info()
+        finally:
+            identities.d0_tau_ct.cache_clear()
+        distinct = {tuple(r["params"]["a"]) for r in records}
+        assert code == 0
+        # the enumerator puts a outermost, so each a's CT is built once
+        assert info.misses == len(distinct) == 9
+        assert info.currsize <= 4
+
 
 class TestParallelism:
     def test_results_independent_of_jobs(self):
@@ -399,6 +412,16 @@ class TestCtCommand:
                 assert code == 2
                 assert captured.out == ""
                 assert "--t-mode" in captured.err
+
+    def test_edges_rejected_outside_tournament(self, capsys):
+        for kernel, extra in [("dyson", []), ("alternating", []),
+                              ("tkernel", []), ("tkernel", ["--t-mode", "qa"])]:
+            code = main(["ct", kernel, "--a", "1,1", "--v", "0,0",
+                         "--edges", "1>2"] + extra)
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "--edges" in captured.err
 
     def test_bad_vector_length(self, capsys):
         code = main(["ct", "dyson", "--a", "1,1", "--v", "0,0,0"])

@@ -94,6 +94,10 @@ class TestPoincare:
         assert poincare_W(3).collapse_t_single() == IntPoly(
             {0: 1, 1: 2, 2: 2, 3: 1})
         assert poincare_single_product(3) == IntPoly({0: 1, 1: 2, 2: 2, 3: 1})
+        geometric = IntPoly.const(1)  # prod_{i<=n} (1 + t + ... + t^{i-1})
+        for n in range(1, 8):
+            geometric = geometric * IntPoly({e: 1 for e in range(n)})
+            assert poincare_single_product(n) == geometric
 
     def test_wtd(self):
         for n in (1, 2, 3, 4):
@@ -397,6 +401,14 @@ class TestMatrixPropositions:
         assert not kappa.is_left_justified()
         for lam, w in solve_column_relation(kappa, 2):
             assert holds(verify_prop_zero(kappa.serialize(), lam, (1, 1)))
+
+    def test_prop_zero_rejects_lambda_with_a_leading_zero(self):
+        with pytest.raises(ValueError):
+            verify_prop_zero("10/01", [0, 1], [1, 1])
+
+    def test_prop_zero_rejects_lambda_with_an_inner_zero(self):
+        with pytest.raises(ValueError):
+            verify_prop_zero("10/01", [1, 0, 1], [1, 1])
 
     def test_prop_vnu_instance(self):
         assert holds(verify_prop_vnu((1, 0), (1, 1), 2))
