@@ -20,9 +20,12 @@ Each identity has one checker, ``verify_<identity>``: the identity's name
 with ``-`` turned into ``_``.  It takes one case's params as keyword
 arguments, exactly as the report line prints them (lists, integers, and
 permutations, (0,1)-matrices and tournaments in their serialized form),
-and returns the two rendered sides ``(lhs, rhs)``.  The case holds when
-the two strings are equal.  Checkers neither time nor record a case;
-``cli._execute`` does both.
+and returns the two rendered sides ``(lhs, rhs)``.  A checker whose two
+sides are values of one kind compares them exactly and renders equal
+sides once (``_render``), returning the same text twice.  The report
+still compares the two strings: the case holds when they are equal, and
+exact equality implies equal text.  Checkers neither time nor record a
+case; ``cli._execute`` does both.
 """
 
 from __future__ import annotations
@@ -62,33 +65,18 @@ def t_monomial(table: VarTable, S) -> MPoly:
     return MPoly.monomial(table, {table.t_index(i, j): 1 for i, j in S})
 
 
-def t_coefficients(p: MPoly) -> dict:
-    """Split a polynomial in q and t into {t-exponent tuple: IntPoly in q}.
-
-    Requires every other variable to carry exponent zero.
-    """
-    table = p.table
-    pairs = table.t_pairs
-    pair_positions = [table.t_index(i, j) for i, j in pairs]
-    out: dict[tuple, dict] = {}
-    for vec, c in p.terms():
-        texp = tuple(vec[k] for k in pair_positions)
-        rest = list(vec)
-        for k in pair_positions:
-            rest[k] = 0
-        qexp = rest[0]
-        rest[0] = 0
-        if any(rest):
-            raise ValueError("term carries non-(q,t) exponents")
-        out.setdefault(texp, {})[qexp] = c
-    return {texp: IntPoly(d) for texp, d in out.items()}
+def _render(lhs, rhs, render=str):
+    """``(render(lhs), render(rhs))``, rendering once when the two sides
+    are equal as exact values: then both are the same string."""
+    text = render(lhs)
+    return text, (text if lhs == rhs else render(rhs))
 
 
 def _t_report(p: MPoly, coeffs: dict | None = None) -> str:
     """The t-coefficients of p (``coeffs``, when the caller has them) as
     JSON {t-monomial: q-polynomial}, named after the pairs of ``p.table``."""
     body = {}
-    for texp, poly in sorted((coeffs or t_coefficients(p)).items()):
+    for texp, poly in sorted((coeffs or p.t_coefficients()).items()):
         name = "*".join(f"t[{i},{j}]^{e}" if e != 1 else f"t[{i},{j}]"
                         for (i, j), e in zip(p.table.t_pairs, texp) if e) or "1"
         body[name] = str(poly)
@@ -96,12 +84,13 @@ def _t_report(p: MPoly, coeffs: dict | None = None) -> str:
 
 
 def _poincare_sum(table: VarTable, perms, weight) -> MPoly:
-    """sum over ``perms`` of weight(w) t_{R(w)}: every right side with one
-    t per pair is a weighted Poincare sum."""
-    out = MPoly.zero(table)
-    for w in perms:
-        out = out + t_monomial(table, w.recording_set()) * weight(w)
-    return out
+    """sum over ``perms`` of weight(w) t_{R(w)}, each weight(w) an IntPoly:
+    every right side with one t per pair is a weighted Poincare sum.  Each
+    weight is written onto its t-monomial in one pass; were two R(w) equal,
+    their weights would add."""
+    return MPoly.from_q_coefficients(table, (
+        ({table.t_index(i, j): 1 for i, j in w.recording_set()}, weight(w))
+        for w in perms))
 
 
 # -- closed forms ---------------------------------------------------------------
@@ -115,23 +104,40 @@ def c_w(a, w: Permutation) -> IntPoly:
 
         qmultinom(a) * prod_i (1 - q^{a_i}) / (1 - q^{a_{w(1)}+...+a_{w(i)}})
 
-    reduced to a genuine polynomial.
+    reduced to a genuine polynomial: ``_c_weights(a)(w)`` expanded.
     """
-    return _c_w_cyclo(tuple(a), w).expand()
+    return _c_weights(a)(w).expand()
 
 
-def _c_w_cyclo(a: tuple, w: Permutation) -> Cyclo:
-    """``c_w`` before expansion."""
+def _c_weights(a):
+    """w -> c_w(a) as a Cyclo, for the permutations w of one a.
+
+    The numerator qmultinom(a) prod_i (1 - q^{a_i}) is built once, and
+    each 1 - q^s once per distinct partial sum s, so a weight costs n
+    divisions.
+    """
+    a = tuple(a)
+    n = len(a)
     if any(x < 1 for x in a):
         raise ValueError("c_w needs positive a")
-    if w.n != len(a):
-        raise ValueError(f"w permutes {w.n} letters and a has {len(a)} parts")
-    out = Cyclo.qmultinom(a)
+    num = Cyclo.qmultinom(a)
     for x in a:
-        out = out * Cyclo.one_minus_q(x)
-    for i in range(1, len(a) + 1):
-        out = out / Cyclo.one_minus_q(w_sigma(a, w, i))
-    return out
+        num = num * Cyclo.one_minus_q(x)
+    dens: dict[int, Cyclo] = {}
+
+    def weight(w: Permutation) -> Cyclo:
+        if w.n != n:
+            raise ValueError(f"w permutes {w.n} letters and a has {n} parts")
+        out, s = num, 0
+        for i in range(1, n + 1):
+            s += a[w(i) - 1]
+            den = dens.get(s)
+            if den is None:
+                den = dens[s] = Cyclo.one_minus_q(s)
+            out = out / den
+        return out
+
+    return weight
 
 
 def rhs_poincare_qdyson(a, table: VarTable | None = None) -> MPoly:
@@ -139,15 +145,17 @@ def rhs_poincare_qdyson(a, table: VarTable | None = None) -> MPoly:
     a = tuple(a)
     if table is None:
         table = table_kernel(len(a))
+    weights = _c_weights(a)
     return _poincare_sum(table, Permutation.all_perms(len(a)),
-                         lambda w: c_w(a, w))
+                         lambda w: weights(w).expand())
 
 
 def poincare_W(n: int, table: VarTable | None = None) -> MPoly:
     """The multivariable Poincare polynomial sum_w t_{R(w)}."""
     if table is None:
         table = table_kernel(n)
-    return _poincare_sum(table, Permutation.all_perms(n), lambda w: 1)
+    one = IntPoly.const(1)
+    return _poincare_sum(table, Permutation.all_perms(n), lambda w: one)
 
 
 def poincare_single_product(n: int) -> IntPoly:
@@ -229,6 +237,8 @@ def rhs_kadell(v, a) -> IntPoly:
     a = tuple(a)
     if len(v) != len(a):
         raise ValueError("v and a must share a length")
+    if any(x < 0 for x in v):
+        raise ValueError(f"rhs_kadell needs nonnegative v, got {v}")
     m = weight(v)
     if m < 1:
         raise ValueError("rhs_kadell needs |v| >= 1")
@@ -265,8 +275,9 @@ def rhs_kadell_t(k: int, m: int, a, table: VarTable | None = None) -> MPoly:
         table = table_kernel(n)
     total = sum(a)
     ratio = Cyclo.qpoch(total, m) / Cyclo.qpoch(total - a[k - 1] + 1, m)
+    weights = _c_weights(a)
     return _poincare_sum(table, (w for w in Permutation.all_perms(n) if w(n) == k),
-                         lambda w: (ratio * _c_w_cyclo(a, w)).expand())
+                         lambda w: (ratio * weights(w)).expand())
 
 
 def rhs_strict(lam, a, w: Permutation) -> IntPoly:
@@ -576,11 +587,12 @@ def reduction_check(v, a, m: int) -> bool:
 
 # -- checkers -------------------------------------------------------------------------
 # verify_<identity> takes one case's params as its report prints them and
-# returns the two rendered sides (lhs, rhs).
+# returns the two rendered sides (lhs, rhs), rendered once when they are
+# equal values of one kind (``_render``).
 
 def verify_q_dyson(a):
     a = tuple(a)
-    return str(dyson_kernel(a).ct_x().to_intpoly()), str(rhs_qdyson(a))
+    return _render(dyson_kernel(a).ct_x().to_intpoly(), rhs_qdyson(a))
 
 
 def verify_poincare(a):
@@ -590,14 +602,15 @@ def verify_poincare(a):
     n = len(a)
     table = table_kernel(n)
     lhs = tkernel(a, table).ct_x()
-    coeffs = t_coefficients(lhs)
-    lhs_str = _t_report(lhs, coeffs)
+    coeffs = lhs.t_coefficients()
+    lhs_str = report = _t_report(lhs, coeffs)
     # independent support check: only recording sets may appear
     for texp in coeffs:
         S = frozenset(p for p, e in zip(table.t_pairs, texp) if e)
         if ell_stats(S, n)[3] != n:
             lhs_str += f" [nonzero at K<{n}: {sorted(S)}]"
-    return lhs_str, _t_report(rhs_poincare_qdyson(a, table))
+    rhs = rhs_poincare_qdyson(a, table)
+    return lhs_str, (report if lhs == rhs else _t_report(rhs))
 
 
 def verify_poincare_equal(n: int, k: int):
@@ -606,62 +619,64 @@ def verify_poincare_equal(n: int, k: int):
     scale = Cyclo()
     for i in range(1, n):
         scale = scale * Cyclo.qbinom((i + 1) * k - 1, k - 1)
-    return str(lhs), str(poincare_W(n, table) * scale.expand())
+    return _render(lhs, poincare_W(n, table) * scale.expand())
 
 
 def verify_wtd(n: int):
     lhs = tkernel((1,) * n).ct_x().collapse_t_single()
     also = poincare_W(n).collapse_t_single()
-    lhs_str = str(lhs) if lhs == also else f"{lhs} != {also}"
-    return lhs_str, str(poincare_single_product(n))
+    if lhs != also:
+        return f"{lhs} != {also}", str(poincare_single_product(n))
+    return _render(lhs, poincare_single_product(n))
 
 
 def verify_bg_general(a, I):
     a, I = tuple(a), set(I)
-    return (str(bg_kernel(a, I).ct_x().to_intpoly()),
-            str(rhs_bg_general(a, I)))
+    return _render(bg_kernel(a, I).ct_x().to_intpoly(), rhs_bg_general(a, I))
 
 
 def verify_bg_alternating(a):
     a = tuple(a)
-    return (str(bg_alternating_kernel(a).ct_x().to_intpoly()),
-            str(rhs_bg_alternating(a)))
+    return _render(bg_alternating_kernel(a).ct_x().to_intpoly(),
+                   rhs_bg_alternating(a))
 
 
 def verify_tournament(a, edges: str):
     a = tuple(a)
     t = Tournament.parse(len(a), edges)
-    return (str(tournament_kernel(t, a).ct_x().to_intpoly()),
-            str(rhs_tournament(t, a)))
+    return _render(tournament_kernel(t, a).ct_x().to_intpoly(),
+                   rhs_tournament(t, a))
 
 
 def verify_kadell(v, a):
     lhs = D_vlambda(v, (weight(v),), a, "qa").to_intpoly()
-    return str(lhs), str(rhs_kadell(v, a))
+    return _render(lhs, rhs_kadell(v, a))
 
 
 def verify_kadell_t(k: int, m: int, a):
     a = tuple(a)
     n = len(a)
+    if not 1 <= k <= n:
+        raise ValueError(f"k = {k} is out of range 1..{n}")
     v = (0,) * (k - 1) + (m,) + (0,) * (n - k)
     table = table_kernel(n)
-    return (_t_report(D_vlambda(v, (m,), a, "symbolic", table)),
-            _t_report(rhs_kadell_t(k, m, a, table)))
+    return _render(D_vlambda(v, (m,), a, "symbolic", table),
+                   rhs_kadell_t(k, m, a, table), _t_report)
 
 
 def verify_strict(lam, a, w: str):
     lam, w = tuple(lam), Permutation.parse(w)
     v = w.inverse().act(reverse(lam))
     lhs = D_vlambda(v, tuple(x for x in lam if x), a, "qa").to_intpoly()
-    return str(lhs), str(rhs_strict(lam, a, w))
+    return _render(lhs, rhs_strict(lam, a, w))
 
 
 def verify_usum(n: int):
-    return tuple(map(str, usum_cleared_sides(n)))
+    return _render(*usum_cleared_sides(n))
 
 
 def verify_usum_k(n: int, k: int):
-    return tuple(map(str, usum_k_cleared_sides(n, k)))
+    return _render(*usum_k_cleared_sides(n, k))
 
 
 def verify_prop_kappa(kappa: str, lam, w: str, a):
@@ -679,11 +694,11 @@ def verify_prop_vnu(v, a, m: int):
 
 
 def verify_sills(a, r: int, s: int):
-    return str(sills_lhs(a, r, s)), str(rhs_sills(a, r, s))
+    return _render(sills_lhs(a, r, s), rhs_sills(a, r, s))
 
 
 def verify_lxz(v, a):
-    return str(lxz_lhs(tuple(v), a)), str(rhs_lxz(v, a))
+    return _render(lxz_lhs(tuple(v), a), rhs_lxz(v, a))
 
 
 def verify_interp_dyson(a, S):
@@ -696,21 +711,21 @@ def verify_interp_dyson(a, S):
     d_in, e_out, _, K = ell_stats(S, n)
     v = tuple(e - d for e, d in zip(e_out, d_in))
     brute = cached_kernel("tzero", a).coeff_x(v).to_intpoly() * (-1) ** len(S)
-    lhs = str(value)
+    lhs, rhs = _render(value, brute)
     if (K == n) != (not value.is_zero):
         lhs += " [K-dichotomy violated]"
-    return lhs, str(brute)
+    return lhs, rhs
 
 
 def verify_interp_closed(a, w: str):
     a, w = tuple(a), Permutation.parse(w)
-    return str(closed_eval(a, w)), str(c_w(a, w))
+    return _render(closed_eval(a, w), c_w(a, w))
 
 
 def verify_interp_sills(a, r: int):
     a = tuple(a)
     value, _ = sills_coeff_interpolated(a, r)
-    return str(value), str(rhs_sills(a, r, 1))
+    return _render(value, rhs_sills(a, r, 1))
 
 
 def verify_scalar_kkhat(v, w):
@@ -718,7 +733,7 @@ def verify_scalar_kkhat(v, w):
     v, w = tuple(v), tuple(w)
     t = table_x(len(v))
     got = scalar_product(key_poly(v, t), keyhat_poly(w, t))
-    return str(got), str(IntPoly.const(1 if v == reverse(w) else 0))
+    return _render(got, IntPoly.const(1 if v == reverse(w) else 0))
 
 
 def verify_schur_monomial(lam, v):
@@ -740,9 +755,9 @@ def verify_schur_monomial(lam, v):
         want = IntPoly.const(w.sign())
     else:
         want = IntPoly()
-    return str(got), str(want)
+    return _render(got, want)
 
 
 def verify_hook_content(lam, a: int):
     lam = tuple(lam)
-    return str(schur_onevar_value(lam, a)), str(hook_content(lam, a))
+    return _render(schur_onevar_value(lam, a), hook_content(lam, a))

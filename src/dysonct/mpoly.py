@@ -11,8 +11,9 @@ exponents are representable.  Multiplying two monomials is then a single
 integer addition, which is what makes the brute-force kernel expansions
 cheap enough for the verification grids.  Every exponent must lie in the
 signed field range [-2^31, 2^31): ``VarTable.encode``, ``monomial_key``,
-the ``MPoly`` constructor, ``MPoly.from_intpoly``, the coefficient shifts
-of ``coeff_x``, ``coeff_aux`` and ``mul_coeff_x``, and every substitution
+the ``MPoly`` constructor, ``MPoly.from_intpoly`` and
+``from_q_coefficients``, the coefficient shifts of ``coeff_x``,
+``coeff_aux`` and ``mul_coeff_x``, and every substitution
 (``subst_x_qpower``, ``subst_t_qpowers``, the permutations and the gamma
 shifts, which rebuild through the constructor) raise ValueError for
 anything outside it.  The multiply loops stay unchecked; a kernel's
@@ -217,8 +218,29 @@ class MPoly:
 
     @classmethod
     def from_intpoly(cls, table, p: IntPoly) -> "MPoly":
-        return cls._make(table, {table.off + table.shift([(0, e)]): c
-                                 for e, c in p.items()})
+        return cls.from_q_coefficients(table, [({}, p)])
+
+    @classmethod
+    def from_q_coefficients(cls, table, items) -> "MPoly":
+        """The sum of p * m over (exps, p) pairs: m the monomial
+        {variable index: exponent} ``exps``, which leaves q out, and p an
+        IntPoly in q.  Written into one dict; a repeated monomial adds."""
+        out: dict[int, int] = {}
+        for exps, p in items:
+            if 0 in exps:
+                raise ValueError("the monomial must leave q to the coefficient")
+            key = table.monomial_key(exps)
+            for e, c in p.items():
+                if not -_B <= e < _B:
+                    raise ValueError(f"exponent {e} outside the packed range "
+                                     f"[-2^{_W - 1}, 2^{_W - 1})")
+                k = key + e
+                s = out.get(k, 0) + c
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        return cls._make(table, out)
 
     # -- inspection ----------------------------------------------------------
 
@@ -243,6 +265,31 @@ class MPoly:
 
     def coeff(self, vec) -> int:
         return self._terms.get(self.table.encode(vec), 0)
+
+    def t_coefficients(self) -> dict:
+        """Split a polynomial in q and t into {t-exponent tuple: IntPoly in
+        q}, the tuple in the order of ``table.t_pairs``.
+
+        Terms are grouped by the t-part of their packed key, and each
+        distinct t-monomial is decoded once.  Raises ValueError if a term
+        carries an exponent of any other variable.
+        """
+        t = self.table
+        tm = t._tmask
+        rest = ~(tm | _FIELD)
+        rest_off = t.off & rest
+        groups: dict[int, dict] = {}
+        for k, c in self._terms.items():
+            if k & rest != rest_off:
+                raise ValueError("term carries non-(q,t) exponents")
+            g = groups.get(k & tm)
+            if g is None:
+                g = groups[k & tm] = {}
+            g[(k & _FIELD) - _B] = c
+        t0 = 1 + t.nx
+        fields = range(t0, t0 + len(t.t_pairs))
+        return {tuple([((tk >> (_W * i)) & _FIELD) - _B for i in fields]):
+                IntPoly(g) for tk, g in groups.items()}
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -9,6 +9,7 @@ import pytest
 import dysonct.cli as cli
 import dysonct.identities as identities
 from dysonct.cli import RunConfig, main, run
+from dysonct.qpoly import IntPoly
 
 
 def _register(monkeypatch, name, cases, checker):
@@ -371,6 +372,44 @@ class TestFailedCases:
             else:
                 assert bad == good
         assert f" 0 FAIL, {errors} ERROR, " in captured.err
+
+
+class TestRenderOnce:
+    """Checkers render equal sides once; a mismatch must still show."""
+
+    @pytest.mark.parametrize("name, config, identity, perturb", [
+        ("rhs_qdyson", RunConfig("q-dyson", n=2, a_max=1), "q-dyson",
+         lambda rhs: rhs + IntPoly.const(1)),
+        ("usum_cleared_sides", RunConfig("usum", n=2), "usum",
+         lambda sides: (sides[0], sides[1] + 1)),
+        ("rhs_kadell_t", RunConfig("kadell-t", n=2, a_max=1, m_max=1),
+         "kadell-t", lambda rhs: rhs * 2),
+    ])
+    def test_perturbed_side_is_a_mismatch(self, name, config, identity,
+                                          perturb, monkeypatch):
+        code, passing = run(config)
+        assert code == 0
+        assert all(r["lhs"] is r["rhs"] for r in passing)
+        original = getattr(identities, name)
+        monkeypatch.setattr(identities, name,
+                            lambda *args: perturb(original(*args)))
+        code, failing = run(config)
+        assert code == 1
+        hit = 0
+        for good, bad in zip(passing, failing, strict=True):
+            if bad["identity"] != identity:
+                assert bad == dict(good, millis=bad["millis"])
+                continue
+            hit += 1
+            assert bad["status"] == "ok" and bad["equal"] is False
+            assert bad["lhs"] == good["lhs"]
+            assert bad["rhs"] not in (good["rhs"], bad["lhs"])
+        assert hit
+
+    def test_pooled_records_share_the_text(self):
+        code, records = run(RunConfig("usum", n=3, jobs=2))
+        assert code == 0
+        assert all(r["equal"] and r["lhs"] is r["rhs"] for r in records)
 
 
 class TestCtCommand:

@@ -8,7 +8,8 @@ from dysonct.combi import (
     all_tournaments, left_justified_from_rows, partial_sums, sort_desc,
 )
 from dysonct.identities import (
-    D_vlambda, c_w, contributing_perms, lemma_sym_check,
+    D_vlambda, _c_weights, _poincare_sum, _render, c_w, contributing_perms,
+    lemma_sym_check, rhs_poincare_qdyson,
     poincare_W, poincare_single_product, reduction_check, rhs_bg_alternating,
     rhs_bg_general, rhs_kadell, rhs_kadell_t, rhs_lxz,
     rhs_qdyson, rhs_sills, rhs_strict, rhs_tournament, solve_column_relation,
@@ -102,6 +103,84 @@ class TestPoincare:
     def test_wtd(self):
         for n in (1, 2, 3, 4):
             assert holds(verify_wtd(n))
+
+
+def _ref_c_w_cyclo(a, w):
+    """c_w as the from-scratch Cyclo product that ``_c_weights`` replaced:
+    the numerator and every 1 - q^s built anew for each w."""
+    out = Cyclo.qmultinom(a)
+    for x in a:
+        out = out * Cyclo.one_minus_q(x)
+    for i in range(1, len(a) + 1):
+        out = out / Cyclo.one_minus_q(w_sigma(a, w, i))
+    return out
+
+
+def _ref_poincare_sum(table, perms, weight):
+    """The per-w fold that ``_poincare_sum`` replaced: one t-monomial
+    product and one fresh sum per w."""
+    out = MPoly.zero(table)
+    for w in perms:
+        out = out + t_monomial(table, w.recording_set()) * weight(w)
+    return out
+
+
+class TestPoincareFastPaths:
+    def test_c_weights_match_the_product_from_scratch(self):
+        for n in range(1, 5):
+            perms = list(Permutation.all_perms(n))
+            for a in itertools.product((1, 2, 3), repeat=n):
+                weights = _c_weights(a)
+                for w in perms:
+                    assert weights(w) == _ref_c_w_cyclo(a, w), (a, w)
+
+    def test_c_weights_check_their_input(self):
+        with pytest.raises(ValueError):
+            _c_weights((1, 0))
+        with pytest.raises(ValueError):
+            _c_weights((1, 1))(Permutation((1, 2, 3)))
+
+    def test_poincare_w_matches_the_fold(self):
+        one = IntPoly.const(1)
+        for n in range(1, 6):
+            table = table_kernel(n)
+            assert poincare_W(n, table) == _ref_poincare_sum(
+                table, Permutation.all_perms(n), lambda w: one)
+
+    def test_rhs_poincare_qdyson_matches_the_fold(self):
+        for n in range(1, 5):
+            table = table_kernel(n)
+            for a in itertools.product((1, 2), repeat=n):
+                ref = _ref_poincare_sum(
+                    table, Permutation.all_perms(n),
+                    lambda w: _ref_c_w_cyclo(a, w).expand())
+                assert rhs_poincare_qdyson(a, table) == ref, a
+
+    def test_a_repeated_recording_set_adds(self):
+        table = table_kernel(3)
+        w = Permutation((2, 3, 1))
+        weight = lambda _: IntPoly({0: 1, 2: -3})
+        once = _poincare_sum(table, [w], weight)
+        assert _poincare_sum(table, [w, w], weight) == once * 2
+        assert once == _ref_poincare_sum(table, [w], weight)
+
+
+class TestRender:
+    def test_equal_sides_render_once(self):
+        lhs, rhs = _render(IntPoly({0: 1, 2: 1}), IntPoly({2: 1, 0: 1}))
+        assert lhs == "1 + q^2" and lhs is rhs
+
+    def test_unequal_sides_render_each(self):
+        table = table_kernel(2)
+        p = poincare_W(2, table)
+        lhs, rhs = _render(p, p * 2, lambda x: "<" + str(x) + ">")
+        assert (lhs, rhs) == ("<1 + t[1,2]>", "<2 + 2*t[1,2]>")
+
+    def test_checkers_share_the_text_of_equal_sides(self):
+        for lhs, rhs in [verify_q_dyson((2, 1)), verify_poincare((2, 1, 1)),
+                         verify_kadell_t(2, 2, (2, 1)), verify_usum(3),
+                         verify_usum_k(3, 2), verify_sills((1, 2, 1), 1, 2)]:
+            assert lhs is rhs
 
 
 class TestBressoudGoulden:
@@ -246,6 +325,21 @@ class TestKadell:
                     for m in (1, 2, 3):
                         assert (rhs_kadell_t(k, m, a, table)
                                 == _kadell_t_reference(k, m, a, table)), (k, m, a)
+
+    def test_kadell_rejects_negative_v_summing_to_one(self):
+        # a v with a negative part is no composition: it used to read as
+        # the closed form 0 against the left side -1, a wrong FAIL
+        with pytest.raises(ValueError, match="nonnegative v"):
+            verify_kadell([2, -1], [1, 1])
+
+    def test_kadell_rejects_negative_v_with_nonzero_lhs(self):
+        assert not D_vlambda((3, -1), (2,), (2, 1), "qa").is_zero
+        with pytest.raises(ValueError, match="nonnegative v"):
+            verify_kadell([3, -1], [2, 1])
+
+    def test_kadell_t_k_above_n_names_k(self):
+        with pytest.raises(ValueError, match="k = 3 is out of range 1..2"):
+            verify_kadell_t(3, 1, [1, 1])
 
     def test_kadell_t_m_zero_rejected(self):
         with pytest.raises(ValueError):

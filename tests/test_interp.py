@@ -9,7 +9,7 @@ from dysonct.cli import RunConfig, run
 from dysonct.combi import (
     Permutation, all_pairs, all_pairsets, ell_stats, pairset_to_perm,
 )
-from dysonct.identities import c_w, rhs_sills, sills_lhs, t_coefficients
+from dysonct.identities import c_w, rhs_sills, sills_lhs
 from dysonct.interp import (
     Grid, closed_eval, default_grid, dyson_coeff_interpolated,
     dyson_grid, eval_factored, fs_degree_profile, fs_factors, fs_polynomial,
@@ -94,7 +94,7 @@ class TestDysonGrid:
     def test_exhaustive_n3_against_brute_force(self):
         for a in [(1, 1, 1), (2, 1, 1)]:
             tab = table_kernel(3)
-            coeffs = t_coefficients(tkernel(a, tab).ct_x())
+            coeffs = tkernel(a, tab).ct_x().t_coefficients()
             pairs = sorted(tab.t_pairs)
             for S in all_pairsets(3):
                 texp = tuple(1 if p in S else 0 for p in pairs)
@@ -141,7 +141,7 @@ class TestDysonGrid:
         from dysonct.mpoly import tzero_kernel
         a = (1, 1)
         tab = table_kernel(2)
-        coeffs = t_coefficients(tkernel(a, tab).ct_x())
+        coeffs = tkernel(a, tab).ct_x().t_coefficients()
         for S in all_pairsets(2):
             F = fs_polynomial(a, S)
             d = fs_degree_profile(a, S)

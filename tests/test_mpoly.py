@@ -1,12 +1,13 @@
+import itertools
 import random
 
 import pytest
 
 from dysonct.combi import Permutation
 from dysonct.mpoly import (
-    MPoly, bg_alternating_kernel, bg_kernel, dyson_kernel, mul_coeff_x,
-    poch_factor, product, table_kernel, table_tau, table_x, tau_kernel,
-    tkernel, tournament_kernel, tzero_kernel,
+    MPoly, VarTable, bg_alternating_kernel, bg_kernel, dyson_kernel,
+    mul_coeff_x, poch_factor, product, table_kernel, table_tau, table_x,
+    tau_kernel, tkernel, tournament_kernel, tzero_kernel,
 )
 from dysonct.qpoly import IntPoly
 
@@ -306,3 +307,94 @@ class TestTextForms:
         p = MPoly.monomial(t, {t.t_index(1, 2): 1}) + MPoly.monomial(
             t, {t.t_index(1, 3): 1, t.t_index(2, 3): 1})
         assert p.collapse_t_single() == IntPoly({1: 1, 2: 1})
+
+
+def ref_t_coefficients(p):
+    """The decode-and-sort t-split that ``MPoly.t_coefficients`` replaced:
+    every term decoded to a full exponent vector, in graded-lex order."""
+    table = p.table
+    pair_positions = [table.t_index(i, j) for i, j in table.t_pairs]
+    out = {}
+    for vec, c in p.terms():
+        texp = tuple(vec[k] for k in pair_positions)
+        rest = list(vec)
+        for k in pair_positions:
+            rest[k] = 0
+        qexp = rest[0]
+        rest[0] = 0
+        if any(rest):
+            raise ValueError("term carries non-(q,t) exponents")
+        out.setdefault(texp, {})[qexp] = c
+    return {texp: IntPoly(d) for texp, d in out.items()}
+
+
+class TestTCoefficients:
+    def test_matches_decode_and_sort_on_t_kernels(self):
+        for n in range(1, 5):
+            tab = table_kernel(n)
+            for a in itertools.product((1, 2), repeat=n):
+                p = tkernel(a, tab).ct_x()
+                assert p.t_coefficients() == ref_t_coefficients(p), a
+
+    def test_matches_decode_and_sort_on_kadell_t_sides(self):
+        from dysonct.identities import D_vlambda
+        tab = table_kernel(3)
+        for a in itertools.product((1, 2), repeat=3):
+            for k in (1, 2, 3):
+                for m in (1, 2):
+                    v = (0,) * (k - 1) + (m,) + (0,) * (3 - k)
+                    p = D_vlambda(v, (m,), a, "symbolic", tab)
+                    assert p.t_coefficients() == ref_t_coefficients(p)
+
+    def test_keys_follow_the_table_pairs(self):
+        tab = table_kernel(3)
+        p = (MPoly.monomial(tab, {0: 2, tab.t_index(2, 3): 1}) * 5
+             - MPoly.monomial(tab, {tab.t_index(1, 2): 2})
+             + MPoly.monomial(tab, {0: -1, tab.t_index(2, 3): 1}))
+        assert p.t_coefficients() == {(0, 0, 1): IntPoly({2: 5, -1: 1}),
+                                      (2, 0, 0): IntPoly.const(-1)}
+        assert MPoly.zero(tab).t_coefficients() == {}
+
+    @pytest.mark.parametrize("var", ["x", "u"])
+    def test_other_exponents_raise_on_both_routes(self, var):
+        tab = (VarTable(2, t_pairs=[(1, 2)], u_size=1) if var == "u"
+               else table_kernel(2))
+        index = tab.u_index(1) if var == "u" else tab.x_index(2)
+        p = (MPoly.monomial(tab, {tab.t_index(1, 2): 1})
+             + MPoly.monomial(tab, {index: -1, 0: 3}))
+        for split in (MPoly.t_coefficients, ref_t_coefficients):
+            with pytest.raises(ValueError, match="non-\\(q,t\\)"):
+                split(p)
+
+
+class TestFromQCoefficients:
+    def test_repeated_monomials_add(self):
+        tab = table_kernel(2)
+        t12 = {tab.t_index(1, 2): 1}
+        p = MPoly.from_q_coefficients(tab, [
+            (t12, IntPoly({0: 1, 1: 2})), ({}, IntPoly.const(3)),
+            (t12, IntPoly({1: -2, 4: 1}))])
+        assert p == (MPoly.monomial(tab, t12) * IntPoly({0: 1, 4: 1})
+                     + MPoly.one(tab) * 3)
+
+    def test_matches_the_checked_constructor(self):
+        tab = table_kernel(3)
+        rng = random.Random(7)
+        items, terms = [], []
+        for _ in range(20):
+            texp = [rng.randrange(0, 2) for _ in tab.t_pairs]
+            coeffs = {rng.randrange(-3, 4): rng.randrange(-2, 3)
+                      for _ in range(3)}
+            items.append(({tab.t_index(*pr): e
+                           for pr, e in zip(tab.t_pairs, texp) if e},
+                          IntPoly(coeffs)))
+            terms += [((e,) + (0,) * tab.nx + tuple(texp), c)
+                      for e, c in coeffs.items()]
+        assert MPoly.from_q_coefficients(tab, items) == MPoly(tab, terms)
+
+    def test_rejects_q_in_the_monomial_and_out_of_range_exponents(self):
+        tab = table_kernel(2)
+        with pytest.raises(ValueError):
+            MPoly.from_q_coefficients(tab, [({0: 1}, IntPoly.const(1))])
+        with pytest.raises(ValueError, match="packed range"):
+            MPoly.from_q_coefficients(tab, [({}, IntPoly({2 ** 31: 1}))])
