@@ -401,9 +401,9 @@ def usum_k_cleared_sides(n: int, k: int):
 # -- (0,1)-matrix propositions ---------------------------------------------------------
 
 @functools.lru_cache(maxsize=4)
-def d0_tau_ct(a: tuple, m: int) -> MPoly:
-    """CT_x of the restricted-t kernel on n+m variables (last few a kept)."""
-    return tau_kernel(a, m).ct_x()
+def cached_tau_kernel(a: tuple, m: int) -> Kernel:
+    """``tau_kernel(a, m)``, kept for the kappa of a grid enumerated by a."""
+    return tau_kernel(a, m)
 
 
 def solve_column_relation(kappa, m: int):
@@ -421,17 +421,30 @@ def solve_column_relation(kappa, m: int):
     return out
 
 
+def tau_kappa_coeff(kappa, a) -> MPoly:
+    """The coefficient of s^kappa in CT_x of the tau kernel of (a, 1^m)
+    times one binomial (1 - s[i,j] x_{n+j}/x_i) per crossing pair.
+
+    Each s[i,j] sits in that one factor, so this is (-1)^|kappa| times the
+    coefficient of x^mu in the tau kernel itself, where mu is the row sums
+    of kappa followed by its negated column sums.
+    """
+    rows = kappa.row_sums()
+    mu = rows + tuple(-c for c in kappa.col_sums())
+    kernel = cached_tau_kernel(tuple(a), kappa.shape[1])
+    return kernel.coeff_x(mu) * (-1) ** sum(rows)
+
+
 def prop_kappa_sides(kappa, lam, w: Permutation, a):
     """Both sides of the kappa-extraction identity, as polynomials in q and t."""
     a = tuple(a)
     n, m = kappa.shape
     if len(a) != n:
         raise ValueError("a must have one entry per row of kappa")
+    if w.n != m:
+        raise ValueError(f"w permutes {w.n} letters and kappa has {m} columns")
     lhs = D_vlambda(kappa.row_sums(), lam, a, "symbolic")
-    exps = {(i + 1, j + 1): kappa.rows[i][j]
-            for i in range(n) for j in range(m) if kappa.rows[i][j]}
-    rhs = d0_tau_ct(a, m).coeff_aux("s", exps) * w.sign()
-    return lhs, rhs
+    return lhs, tau_kappa_coeff(kappa, a) * w.sign()
 
 
 def prop_vnu_sides(v, a, m: int):
@@ -444,7 +457,8 @@ def prop_vnu_sides(v, a, m: int):
 
 def contributing_perms(lam_bar, a, m: int):
     """Permutations of n+m letters that survive both the restricted-t
-    truncation and the s-monomial extraction for v = lam_bar."""
+    truncation and the read of the left-justified kappa with row sums
+    v = lam_bar: their crossing pairs are exactly the ones of kappa."""
     n = len(lam_bar)
     want = frozenset((i, n + j) for i in range(1, n + 1)
                      for j in range(1, lam_bar[i - 1] + 1))

@@ -3,7 +3,7 @@
 A polynomial is a map from monomials to nonzero integer coefficients.  The
 variables live in a VarTable that fixes their order once and for all:
 
-    q,  x1 .. xn,  t[i,j] (pairs i < j),  s[i,j] (an n x m grid),  u[i]
+    q,  x1 .. xn,  t[i,j] (pairs i < j),  u[i]
 
 Internally a monomial's exponent vector is packed into a single integer,
 32 bits per variable with an offset of 2^31 so that negative (Laurent)
@@ -42,28 +42,23 @@ _FIELD = (1 << _W) - 1
 
 
 class VarTable:
-    """Ordered variable table: q, an x-block, and auxiliary families."""
+    """Ordered variable table: q, an x-block, and the auxiliary t and u
+    families."""
 
-    __slots__ = ("nx", "t_pairs", "s_shape", "u_size", "names", "nvars",
-                 "off", "_index", "_xmask", "_xoff", "_tmask", "_smask",
-                 "_umask")
+    __slots__ = ("nx", "t_pairs", "u_size", "names", "nvars", "off",
+                 "_index", "_xmask", "_xoff", "_tmask", "_umask")
 
-    def __init__(self, nx: int, t_pairs=(), s_shape=None, u_size: int = 0):
+    def __init__(self, nx: int, t_pairs=(), u_size: int = 0):
         t_pairs = tuple(sorted(t_pairs))
         for i, j in t_pairs:
             if not i < j:
                 raise ValueError(f"t indices must satisfy i < j, got {(i, j)}")
         self.nx = nx
         self.t_pairs = t_pairs
-        self.s_shape = tuple(s_shape) if s_shape else None
         self.u_size = u_size
 
         names = ["q"] + [f"x{i}" for i in range(1, nx + 1)]
         names += [f"t[{i},{j}]" for i, j in t_pairs]
-        if self.s_shape:
-            sn, sm = self.s_shape
-            names += [f"s[{i},{j}]"
-                      for i in range(1, sn + 1) for j in range(1, sm + 1)]
         names += [f"u[{i}]" for i in range(1, u_size + 1)]
         self.names = tuple(names)
         self.nvars = len(names)
@@ -73,10 +68,7 @@ class VarTable:
         self._xoff = self.off & self._xmask
         t0 = 1 + nx
         self._tmask = self._group_mask(t0, len(t_pairs))
-        s0 = t0 + len(t_pairs)
-        ns = self.s_shape[0] * self.s_shape[1] if self.s_shape else 0
-        self._smask = self._group_mask(s0, ns)
-        self._umask = self._group_mask(s0 + ns, u_size)
+        self._umask = self._group_mask(t0 + len(t_pairs), u_size)
 
     @staticmethod
     def _group_mask(start, count):
@@ -91,9 +83,6 @@ class VarTable:
 
     def t_index(self, i: int, j: int) -> int:
         return self._index[f"t[{i},{j}]"]
-
-    def s_index(self, i: int, j: int) -> int:
-        return self._index[f"s[{i},{j}]"]
 
     def u_index(self, i: int) -> int:
         return self._index[f"u[{i}]"]
@@ -162,13 +151,9 @@ def table_kernel(n: int) -> VarTable:
 
 
 def table_tau(n: int, m: int) -> VarTable:
-    """Table for kernels on n + m variables whose t's are restricted:
-    pairs within the first n keep their t[i,j]; pairs (i, n+j) with i <= n
-    become s[i,j]; pairs inside the last m variables carry no variable."""
-    return VarTable(n + m,
-                    t_pairs=[(i, j) for i in range(1, n)
-                             for j in range(i + 1, n + 1)],
-                    s_shape=(n, m))
+    """Table for kernels on n + m variables whose t's are restricted: only
+    the pairs within the first n carry a t[i,j]."""
+    return VarTable(n + m, t_pairs=table_kernel(n).t_pairs)
 
 
 def table_u(n: int) -> VarTable:
@@ -391,7 +376,7 @@ class MPoly:
     def coeff_aux(self, family: str, exponents) -> "MPoly":
         """Coefficient of a monomial in one auxiliary family.
 
-        ``exponents`` maps the family's index tuples (pairs for t and s,
+        ``exponents`` maps the family's index tuples (pairs for t,
         integers for u) to exponents; omitted indices mean exponent 0.
         The matched variables are projected out (set back to exponent 0).
         """
@@ -400,13 +385,6 @@ class MPoly:
             valid = set(t.t_pairs)
             index = lambda ij: t.t_index(*ij)
             mask = t._tmask
-        elif family == "s":
-            if not t.s_shape:
-                raise ValueError("table has no s family")
-            sn, sm = t.s_shape
-            valid = {(i, j) for i in range(1, sn + 1) for j in range(1, sm + 1)}
-            index = lambda ij: t.s_index(*ij)
-            mask = t._smask
         elif family == "u":
             valid = set(range(1, t.u_size + 1))
             index = t.u_index
@@ -708,12 +686,12 @@ def _poch_binomials(table, i, j, shift, count):
     }) for k in range(count)]
 
 
-def _t_binomial(table, var_index, i, j):
-    """1 - t * x_j / x_i for the given auxiliary variable index."""
+def _t_binomial(table, i, j):
+    """1 - t[i,j] * x_j / x_i."""
     xi, xj = table.x_index(i), table.x_index(j)
     return MPoly._make(table, {
         table.off: 1,
-        table.monomial_key({var_index: 1, xj: 1, xi: -1}): -1,
+        table.monomial_key({table.t_index(i, j): 1, xj: 1, xi: -1}): -1,
     })
 
 
@@ -728,18 +706,18 @@ def kernel_factors(family: str, a, table: VarTable, *, m: int = 0,
       t               prod (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j - 1} (1 - t[i,j] x_j/x_i)
       tzero           the t kernel at t = 0
       tau             the t kernel of (a, 1^m) on n + m variables, with
-                      t[i,j] for pairs inside the first n, s[i,j-n] for
-                      pairs crossing into the last m, and no t-factor for
-                      pairs inside the last m
+                      t[i,j] for pairs inside the first n and no t-factor
+                      for pairs with j > n
       tournament      the tzero factors over the directed edges (i, j) of
                       ``tournament`` instead of the pairs i < j
       bg              prod (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j - chi_I(j)}
       bg-alternating  prod (x_j/x_i - x_i/x_j) * prod_{i != j} (q x_i/x_j)_{a_i - 1}
 
-    Every family but dyson needs positive a.  Every factor is
-    1 - q^k x_i/x_j, 1 - t x_j/x_i (t a t or s variable) or
-    x_j/x_i - x_i/x_j, so it is homogeneous of x-degree 0 by construction,
-    and so is the product; a test pins this for every family.
+    Every family but dyson needs positive a, and only tau takes an m,
+    which must be nonnegative.  Every factor is 1 - q^k x_i/x_j,
+    1 - t[i,j] x_j/x_i or x_j/x_i - x_i/x_j, so it is homogeneous of
+    x-degree 0 by construction, and so is the product; a test pins this
+    for every family.
     """
     a = tuple(a)
     n = len(a)
@@ -749,6 +727,9 @@ def kernel_factors(family: str, a, table: VarTable, *, m: int = 0,
     if any(x < low for x in a):
         raise ValueError(f"{family} kernel needs "
                          f"{'nonnegative' if low == 0 else 'positive'} a")
+    if m < 0 or (m and family != "tau"):
+        raise ValueError(f"m = {m}: only the tau kernel takes an m, "
+                         f"and it must be >= 0")
     if not all(1 <= i <= n for i in index_set):
         raise ValueError(f"index set {sorted(index_set)} is not inside 1..{n}")
     if family == "bg-alternating":
@@ -769,10 +750,9 @@ def kernel_factors(family: str, a, table: VarTable, *, m: int = 0,
                 raise ValueError("length of a must match the tournament")
             edges = sorted(tournament.edges)
         else:
-            size = n + (m if family == "tau" else 0)
-            edges = [(i, j) for i in range(1, size + 1)
-                     for j in range(i + 1, size + 1)]
-        full = a + (1,) * (m if family == "tau" else 0)
+            edges = [(i, j) for i in range(1, n + m + 1)
+                     for j in range(i + 1, n + m + 1)]
+        full = a + (1,) * m
         factors = []
         for i, j in edges:
             if family == "dyson":
@@ -784,9 +764,7 @@ def kernel_factors(family: str, a, table: VarTable, *, m: int = 0,
             factors += _poch_binomials(table, i, j, 0, full[i - 1])
             factors += _poch_binomials(table, j, i, 1, full[j - 1] - deficit)
             if family == "t" or (family == "tau" and j <= n):
-                factors.append(_t_binomial(table, table.t_index(i, j), i, j))
-            elif family == "tau" and i <= n:
-                factors.append(_t_binomial(table, table.s_index(i, j - n), i, j))
+                factors.append(_t_binomial(table, i, j))
     return factors
 
 
@@ -855,7 +833,9 @@ def tzero_kernel(a, table: VarTable | None = None) -> Kernel:
 
 def tau_kernel(a, m: int, table: VarTable | None = None) -> Kernel:
     """The (n+m)-variable kernel for the sequence (a, 1^m) whose t's vanish
-    beyond the first n indices (see ``kernel_factors``)."""
+    beyond the first n indices (see ``kernel_factors``).  It carries no s
+    variables: ``identities.tau_kappa_coeff`` reads each s-coefficient as
+    an x-shift."""
     table = table_tau(len(a), m) if table is None else table
     return Kernel(kernel_factors("tau", a, table, m=m), table)
 

@@ -171,16 +171,16 @@ class TestKernelCache:
         _, uncached = run(config)
         assert [strip(r) for r in cached] == [strip(r) for r in uncached]
 
-    def test_prop_kappa_keeps_at_most_four_tau_kernel_cts(self):
-        identities.d0_tau_ct.cache_clear()
+    def test_prop_kappa_keeps_at_most_four_tau_kernels(self):
+        identities.cached_tau_kernel.cache_clear()
         try:
             code, records = run(RunConfig("prop-kappa", n=2, a_max=3, m_max=2))
-            info = identities.d0_tau_ct.cache_info()
+            info = identities.cached_tau_kernel.cache_info()
         finally:
-            identities.d0_tau_ct.cache_clear()
+            identities.cached_tau_kernel.cache_clear()
         distinct = {tuple(r["params"]["a"]) for r in records}
         assert code == 0
-        # the enumerator puts a outermost, so each a's CT is built once
+        # the enumerator puts a outermost, so each a's kernel is built once
         assert info.misses == len(distinct) == 9
         assert info.currsize <= 4
 

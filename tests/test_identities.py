@@ -504,6 +504,13 @@ class TestMatrixPropositions:
         with pytest.raises(ValueError):
             verify_prop_zero("10/01", [1, 0, 1], [1, 1])
 
+    def test_prop_kappa_rejects_w_of_the_wrong_length(self):
+        # kappa has two columns, so w must permute two letters
+        assert holds(verify_prop_kappa("10/01", [2], "1,2", [1, 1]))
+        for w in ("1,2,3", "1"):
+            with pytest.raises(ValueError, match="permutes"):
+                verify_prop_kappa("10/01", [1, 1], w, [1, 1])
+
     def test_prop_vnu_instance(self):
         assert holds(verify_prop_vnu((1, 0), (1, 1), 2))
         assert holds(verify_prop_vnu((2, 1), (2, 1), 2))

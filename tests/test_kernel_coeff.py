@@ -11,10 +11,11 @@ import random
 
 import pytest
 
-from dysonct.combi import all_tournaments
+from dysonct.combi import all_tournaments, all_zero_one_matrices
+from dysonct.identities import tau_kappa_coeff
 from dysonct.mpoly import (
-    KERNEL_FAMILIES, Kernel, MPoly, kernel_factors, mul_coeff_x, product,
-    table_kernel, table_tau, table_x,
+    KERNEL_FAMILIES, Kernel, MPoly, VarTable, kernel_factors, mul_coeff_x,
+    product, table_kernel, table_tau, table_x, tau_kernel, tkernel,
 )
 from dysonct.symfun import schur_principal
 
@@ -165,7 +166,8 @@ def test_negative_q_exponents():
     # Laurent polynomials in q read back exactly
     rng = random.Random(31)
     negative = 0
-    for table in (table_x(2), table_kernel(2), table_tau(1, 1)):
+    for table in (table_x(2), table_kernel(2),
+                  VarTable(2, t_pairs=[(1, 2)], u_size=1)):
         for _ in range(15):
             p1, p2, p3 = (laurent_poly(table, rng) for _ in range(3))
             negative += min(vec[0] for vec, _ in p1.terms()) < 0
@@ -178,14 +180,38 @@ def test_negative_q_exponents():
     assert negative > 30
 
 
-def test_symbolic_s_family_is_kept():
-    # the tau kernel's coefficient still carries its s variables
-    table = kernel_table("tau", 2, 2)
-    factors = kernel_factors("tau", (1, 1), table, m=2)
-    got = kernel_coeff(factors, table)
-    assert got == reference_coeff(factors, table, (0,) * 4)
-    s_exps = [vec[table.s_index(1, 1)] for vec, _ in got.terms()]
-    assert any(s_exps)
+def s_expansion_ct(a, m):
+    """CT_x of the tau kernel of (a, 1^m) times (1 - s[i,j] x_{n+j}/x_i)
+    for every crossing pair, with s[i,j] carried by u[(i-1)m + j]: the
+    full s-expansion that ``tau_kappa_coeff`` reads as an x-shift."""
+    n = len(a)
+    table = VarTable(n + m, t_pairs=table_kernel(n).t_pairs, u_size=n * m)
+    s_binomials = [MPoly.one(table) - MPoly.monomial(table, {
+        table.u_index((i - 1) * m + j): 1, table.x_index(n + j): 1,
+        table.x_index(i): -1}) for i in range(1, n + 1) for j in range(1, m + 1)]
+    factors = kernel_factors("tau", a, table, m=m) + s_binomials
+    return Kernel(factors, table).ct_x()
+
+
+@pytest.mark.parametrize("a", [(1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2),
+                               (1, 1, 1), (2, 1, 2), (2, 2, 2)],
+                         ids=lambda a: "".join(map(str, a)))
+def test_kappa_read_matches_s_expansion(a):
+    # every (0,1) matrix kappa with n rows and m <= 3 columns
+    n = len(a)
+    checked = nonzero = 0
+    for m in range(4):
+        ct = s_expansion_ct(a, m)
+        for kappa in all_zero_one_matrices(n, m):
+            ones = {i * m + j + 1: 1 for i in range(n) for j in range(m)
+                    if kappa.rows[i][j]}
+            want = ct.coeff_aux("u", ones)
+            got = tau_kappa_coeff(kappa, a)
+            assert got.t_coefficients() == want.t_coefficients(), (m, kappa)
+            checked += 1
+            nonzero += not got.is_zero
+    assert checked == sum(2 ** (n * m) for m in range(4))
+    assert nonzero
 
 
 def test_degenerate_lists():
@@ -211,3 +237,14 @@ def test_unknown_family_and_preconditions():
         kernel_factors("dyson", (1, -1), table)
     with pytest.raises(ValueError):
         kernel_factors("tzero", (1, 0), table)
+
+
+def test_only_tau_takes_an_m_and_it_is_nonnegative():
+    with pytest.raises(ValueError, match="m = -1"):
+        tau_kernel((1, 1), -1)
+    # with m = 0 the tau kernel is the t kernel
+    assert tau_kernel((1, 1), 0).ct_x() == tkernel((1, 1)).ct_x()
+    for family in KERNEL_FAMILIES:
+        if family != "tau":
+            with pytest.raises(ValueError, match="only the tau kernel"):
+                kernel_factors(family, (1, 1), kernel_table(family, 2), m=1)

@@ -124,17 +124,19 @@ class TestExtraction:
         assert k.coeff_x((0, 0)) == k.ct_x()
 
     def test_coeff_aux(self):
-        t = table_tau(1, 1)
-        # 1 - s[1,1] * x2 / x1  (x2 is the appended variable)
+        t = table_kernel(2)
+        # 1 - t[1,2] * x2 / x1
         p = MPoly(t, [((0, 0, 0, 0), 1), ((0, -1, 1, 1), -1)])
-        c = p.coeff_aux("s", {(1, 1): 1})
+        c = p.coeff_aux("t", {(1, 2): 1})
         assert c == MPoly(t, [((0, -1, 1, 0), -1)])
-        assert p.coeff_aux("s", {}) == MPoly(t, [((0, 0, 0, 0), 1)])
+        assert p.coeff_aux("t", {}) == MPoly(t, [((0, 0, 0, 0), 1)])
 
     def test_coeff_aux_shape_check(self):
-        t = table_tau(1, 1)
+        t = table_kernel(2)
         with pytest.raises(ValueError):
-            MPoly.one(t).coeff_aux("s", {(5, 5): 1})
+            MPoly.one(t).coeff_aux("t", {(5, 5): 1})
+        with pytest.raises(ValueError, match="unknown family"):
+            MPoly.one(t).coeff_aux("s", {(1, 1): 1})
 
     def test_ct_commutes_with_x_free_factor(self):
         t = table_kernel(2)
@@ -249,11 +251,12 @@ class TestKernels:
             bg_alternating_kernel((1, 0))
 
     def test_tau_factorization(self):
-        # D(a 1^m; x,y; tau) = D(a; x; t) * prod(1 - y_i/y_j)
-        #                      * prod (1 - s_ij y_j/x_i)(x_i/y_j)_{a_i}
+        # D(a 1^m; x,y) = D(a; x; t) * prod_{i<j<=m} (1 - y_i/y_j)
+        #                 * prod_{i,j} (x_i/y_j)_{a_i}
         n = m = 2
         a = (1, 1)
         tab = table_tau(n, m)
+        assert tab.names == ("q", "x1", "x2", "x3", "x4", "t[1,2]")
         lhs = tau_kernel(a, m, tab).expand()
         factors = []
         # D(a; x; t) on the first n variables
@@ -272,10 +275,6 @@ class TestKernels:
                                - x(tab, n + i) * x(tab, n + j, -1))
         for i in range(1, n + 1):
             for j in range(1, m + 1):
-                factors.append(MPoly.one(tab)
-                               - MPoly.monomial(tab, {tab.s_index(i, j): 1,
-                                                      tab.x_index(n + j): 1,
-                                                      tab.x_index(i): -1}))
                 factors.append(poch_factor(tab, i, n + j, 0, a[i - 1]))
         assert lhs == product(factors, tab)
 
