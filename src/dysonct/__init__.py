@@ -23,8 +23,8 @@ from .combi import (
     left_justified_from_rows, pairset_to_perm, staircase,
 )
 from .symfun import (
-    complete_h, divided_difference, hook_content, isobaric_pi, isobaric_pihat,
-    key_poly, keyhat_poly, scalar_product, schur_principal,
+    divided_difference, hook_content, isobaric_pi, isobaric_pihat, key_poly,
+    keyhat_poly, scalar_product, schur_principal,
 )
 from .identities import (
     D_vlambda, c_w, poincare_W, rhs_bg_alternating,

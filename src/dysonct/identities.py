@@ -455,7 +455,7 @@ def prop_vnu_sides(v, a, m: int):
                             Permutation.identity(m), a)
 
 
-def contributing_perms(lam_bar, a, m: int):
+def contributing_perms(lam_bar, m: int):
     """Permutations of n+m letters that survive both the restricted-t
     truncation and the read of the left-justified kappa with row sums
     v = lam_bar: their crossing pairs are exactly the ones of kappa."""

@@ -34,6 +34,8 @@ q-packed polynomials below defines the format.
 
 from __future__ import annotations
 
+import itertools
+
 from .qpoly import IntPoly, balanced_digits
 
 _W = 32
@@ -50,9 +52,10 @@ class VarTable:
 
     def __init__(self, nx: int, t_pairs=(), u_size: int = 0):
         t_pairs = tuple(sorted(t_pairs))
-        for i, j in t_pairs:
-            if not i < j:
-                raise ValueError(f"t indices must satisfy i < j, got {(i, j)}")
+        if (nx < 0 or u_size < 0 or len(set(t_pairs)) < len(t_pairs)
+                or not all(1 <= i < j <= nx for i, j in t_pairs)):
+            raise ValueError(f"malformed table: nx={nx}, t_pairs={t_pairs} "
+                             f"(distinct, 1 <= i < j <= nx), u_size={u_size}")
         self.nx = nx
         self.t_pairs = t_pairs
         self.u_size = u_size
@@ -153,6 +156,8 @@ def table_kernel(n: int) -> VarTable:
 def table_tau(n: int, m: int) -> VarTable:
     """Table for kernels on n + m variables whose t's are restricted: only
     the pairs within the first n carry a t[i,j]."""
+    if m < 0:
+        raise ValueError(f"m = {m}: the tau table needs m >= 0")
     return VarTable(n + m, t_pairs=table_kernel(n).t_pairs)
 
 
@@ -568,16 +573,33 @@ def product(factors, table: VarTable) -> MPoly:
     return out
 
 
-def complete_homogeneous(top: int, letters, table: VarTable) -> list:
-    """h_0..h_top of the monomials ``letters`` ({var index: exponent} each)."""
-    hs = [{table.off: 1}] + [{} for _ in range(top)]
+def schur_letters(lam, letters, table: VarTable) -> MPoly:
+    """s_lam of the monomials ``letters`` ({var index: exponent} each),
+    summed over semistandard tableaux in one packed-term dict per
+    partition mu inside lam.  Each letter adds a horizontal strip one row
+    at a time, bottom row first, so row i grows at most to the length
+    row i-1 had before the letter.  The update is in place and visits mu
+    before mu + e_i (lex order), so one shift per state sums the letter's
+    geometric series; for lam = (m,) it is the convolution that builds
+    h_m.  Coefficients stay positive, so nothing cancels."""
+    shapes = [mu for mu in itertools.product(*[range(p + 1) for p in lam])
+              if all(x >= y for x, y in zip(mu, mu[1:]))]  # lex: lam last
+    index = {mu: k for k, mu in enumerate(shapes)}
+    moves = [[(index[mu], index[mu[:i] + (mu[i] + 1,) + mu[i + 1:]])
+              for mu in shapes
+              if mu[i] < lam[i] and (i == 0 or mu[i] < mu[i - 1])]
+             for i in reversed(range(len(lam)))]
+    states = [{} for _ in shapes]
+    states[0][table.off] = 1
     for exps in letters:
         delta = table.shift(exps.items())
-        for prev, tgt in zip(hs, hs[1:]):  # h_d += letter * h_{d-1}
-            for key, c in prev.items():  # coefficients stay positive
-                nk = key + delta
-                tgt[nk] = tgt.get(nk, 0) + c
-    return [MPoly._make(table, h) for h in hs]
+        for row in moves:
+            for src, dst in row:  # state[dst] += letter * state[src]
+                tgt = states[dst]
+                for key, c in states[src].items():
+                    nk = key + delta
+                    tgt[nk] = tgt.get(nk, 0) + c
+    return MPoly._make(table, states[-1])
 
 
 def mul_coeff_x(p1: MPoly, p2: MPoly, v) -> MPoly:

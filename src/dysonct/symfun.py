@@ -1,66 +1,38 @@
 """Schur and key polynomials over principally specialised alphabets.
 
 The alphabet x^(a) replaces each x_i by the geometric progression
-x_i, x_i q, ..., x_i q^(a_i - 1).  Complete homogeneous functions of that
-alphabet are produced by power-series convolution, Schur functions by the
-Jacobi-Trudi determinant, and key polynomials by isobaric divided
-differences acting on dominant monomials.
+x_i, x_i q, ..., x_i q^(a_i - 1).  Schur functions of that alphabet are
+sums over semistandard tableaux, built one horizontal strip per letter;
+key polynomials come from isobaric divided differences acting on
+dominant monomials.
 """
 
 from __future__ import annotations
 
-from .combi import Permutation, conjugate, is_partition
-from .mpoly import Kernel, MPoly, VarTable, complete_homogeneous, table_x
+from .combi import conjugate, is_partition
+from .mpoly import Kernel, MPoly, VarTable, schur_letters, table_x
 from .qpoly import Cyclo, IntPoly
 
 
-def complete_h_list(top: int, a, table: VarTable):
-    """[h_0, h_1, ..., h_top] of x^(a), one convolution pass."""
-    if any(m < 0 for m in a):
-        raise ValueError("multiplicities must be nonnegative")
-    if len(a) > table.nx:
-        raise ValueError("alphabet does not fit the table's x block")
-    letters = [{0: k, table.x_index(i): 1}
-               for i, m in enumerate(a, start=1) for k in range(m)]
-    return complete_homogeneous(top, letters, table)
-
-
-def complete_h(m: int, a, table: VarTable) -> MPoly:
-    """h_m of x^(a); h_0 = 1."""
-    if m < 0:
-        raise ValueError("complete_h needs m >= 0")
-    return complete_h_list(m, a, table)[m]
-
-
 def schur_principal(lam, a, table: VarTable | None = None) -> MPoly:
-    """s_lambda(x^(a)) via the Jacobi-Trudi determinant det(h_{la_i - i + j})."""
+    """s_lambda(x^(a)): ``schur_letters`` over the letters q^k x_i with
+    0 <= k < a_i.  Raises ValueError unless lambda is a partition (up to
+    trailing zeros), a >= 0, and a fits the table's x-block."""
     lam = tuple(lam)
     while lam and lam[-1] == 0:
         lam = lam[:-1]
     if not is_partition(lam):
         raise ValueError(f"not a partition: {lam}")
     a = tuple(a)
+    if any(m < 0 for m in a):
+        raise ValueError("multiplicities must be nonnegative")
     if table is None:
         table = table_x(len(a))
-    if not lam:
-        return MPoly.one(table)
-    ell = len(lam)
-    hs = complete_h_list(lam[0] + ell - 1, a, table)
-
-    def h(m):
-        if m < 0:
-            return MPoly.zero(table)
-        return hs[m]
-
-    out = MPoly.zero(table)
-    for sigma in Permutation.all_perms(ell):
-        term = MPoly.one(table)
-        for i in range(1, ell + 1):
-            term = term * h(lam[i - 1] - i + sigma(i))
-            if term.is_zero:
-                break
-        out = out + term * sigma.sign()
-    return out
+    elif len(a) > table.nx:
+        raise ValueError("alphabet does not fit the table's x block")
+    letters = [{0: k, table.x_index(i): 1}
+               for i, m in enumerate(a, start=1) for k in range(m)]
+    return schur_letters(lam, letters, table)
 
 
 def hook_content(lam, a: int) -> IntPoly:

@@ -321,7 +321,7 @@ def test_criterion_13_combinatorial_lemmas():
            f"(r+)' = {','.join(map(str, conj))}\n")
     ok = ok and got == (GOLDEN / "matrices_42.txt").read_text()
 
-    perms = contributing_perms((0, 1, 3, 3), (1, 1, 1, 1), 3)
+    perms = contributing_perms((0, 1, 3, 3), 3)
     got = "lam_bar = 0,1,3,3\nm = 3\ncontributing = 2\n" + "".join(
         p.serialize() + "\n" for p in perms)
     ok = ok and got == (GOLDEN / "beyond_kadell.txt").read_text()

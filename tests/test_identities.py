@@ -540,7 +540,7 @@ class TestMatrixPropositions:
                     assert lemma_sym_check(v, lam, a, w)
 
     def test_contributing_permutations_worked_example(self):
-        perms = contributing_perms((0, 1, 3, 3), (1, 1, 1, 1), 3)
+        perms = contributing_perms((0, 1, 3, 3), 3)
         assert [p.word for p in perms] == [
             (1, 5, 2, 6, 7, 3, 4), (1, 5, 2, 6, 7, 4, 3)]
 

@@ -84,6 +84,18 @@ class TestArith:
         with pytest.raises(ValueError):
             MPoly.one(table_x(2)) * MPoly.one(table_x(3))
 
+    def test_table_rejects_malformed_shape(self):
+        for nx, kw in [(1, {"t_pairs": [(1, 2)]}), (2, {"t_pairs": [(1, 5)]}),
+                       (2, {"t_pairs": [(0, 1)]}), (2, {"t_pairs": [(2, 1)]}),
+                       (2, {"t_pairs": [(1, 2), (1, 2)]}), (-1, {}),
+                       (2, {"u_size": -1})]:
+            with pytest.raises(ValueError):
+                VarTable(nx, **kw)
+        with pytest.raises(ValueError):
+            table_tau(2, -1)
+        assert table_tau(2, 0) == table_kernel(2)
+        assert VarTable(0, u_size=2).names == ("q", "u[1]", "u[2]")
+
     def test_intpoly_scaling(self):
         t = table_x(1)
         c = IntPoly({0: 1, 1: 2})

@@ -4,11 +4,11 @@ import random
 import pytest
 
 from dysonct.combi import Permutation, conjugate, partitions_upto, reverse, staircase
-from dysonct.mpoly import MPoly, product, table_x
+from dysonct.mpoly import MPoly, product, table_kernel, table_x
 from dysonct.qpoly import IntPoly, qbinom
 from dysonct.symfun import (
-    complete_h, divided_difference, hook_content, isobaric_pi, isobaric_pihat,
-    key_poly, keyhat_poly, scalar_product, schur_onevar_value, schur_principal,
+    divided_difference, hook_content, isobaric_pi, isobaric_pihat, key_poly,
+    keyhat_poly, scalar_product, schur_onevar_value, schur_principal,
 )
 
 
@@ -71,6 +71,39 @@ def ssyt_schur(lam, n, table):
     return out
 
 
+def complete_h_list(top, a, table):
+    """Reference [h_0, ..., h_top] of x^(a) by power-series convolution:
+    each letter q^k x_i multiplies the series sum_d h_d by 1/(1 - letter)."""
+    hs = [MPoly.one(table)] + [MPoly.zero(table)] * top
+    for i, m in enumerate(a, start=1):
+        for k in range(m):
+            letter = x(table, i) * IntPoly({k: 1})
+            for d in range(1, top + 1):
+                hs[d] = hs[d] + letter * hs[d - 1]
+    return hs
+
+
+def complete_h(m, a, table):
+    """Reference h_m of x^(a)."""
+    return complete_h_list(m, a, table)[m]
+
+
+def jacobi_trudi(lam, a, table):
+    """Reference s_lambda(x^(a)) as the determinant det(h_{la_i - i + j})."""
+    ell = len(lam)
+    if not ell:
+        return MPoly.one(table)
+    hs = complete_h_list(lam[0] + ell - 1, a, table)
+    out = MPoly.zero(table)
+    for sigma in Permutation.all_perms(ell):
+        term = MPoly.one(table)
+        for i in range(1, ell + 1):
+            m = lam[i - 1] - i + sigma(i)
+            term = term * hs[m] if m >= 0 else MPoly.zero(table)
+        out = out + term * sigma.sign()
+    return out
+
+
 def alternant(table, mu):
     """det(x_i ^ mu_j) expanded over permutations."""
     n = len(mu)
@@ -112,6 +145,29 @@ class TestSchur:
         t = table_x(2)
         assert schur_principal((), (1, 1), t) == MPoly.one(t)
         assert schur_principal((0, 0), (1, 1), t) == MPoly.one(t)
+
+    def test_rejects_bad_input(self):
+        t = table_x(2)
+        with pytest.raises(ValueError):
+            schur_principal((1, 2), (1, 1), t)
+        with pytest.raises(ValueError):
+            schur_principal((1,), (1, -1), t)
+        with pytest.raises(ValueError):
+            schur_principal((1,), (1, 1, 1), t)
+
+    def test_strips_match_jacobi_trudi(self):
+        # every lambda with |lambda| <= 6 and at most n rows, on both tables
+        for n in (1, 2, 3):
+            lams = [lam for lam in partitions_upto(6, n) if sum(lam) <= 6]
+            for t in (table_x(n), table_kernel(n)):
+                for a in itertools.product((0, 1, 2), repeat=n):
+                    for lam in lams:
+                        lam = tuple(p for p in lam if p)
+                        assert schur_principal(lam, a, t) == jacobi_trudi(
+                            lam, a, t), (lam, a, t)
+        t = table_x(4)
+        lam, a = (4, 3, 2, 1), (1, 2, 1, 2)
+        assert schur_principal(lam, a, t) == jacobi_trudi(lam, a, t)
 
     def test_single_row_is_h(self):
         for n in (1, 2):
