@@ -441,20 +441,14 @@ def _ct_command(args, out):
         if value is not None and args.kernel != kernel:
             print(f"{flag} applies only to the {kernel} kernel", file=sys.stderr)
             return 2
-    if args.kernel == "dyson":
-        kern = dyson_kernel(a)
-    elif args.kernel == "tkernel":
-        kern = tkernel(a)
-    elif args.kernel == "alternating":
-        kern = bg_alternating_kernel(a)
-    elif args.kernel == "tournament":
+    if args.kernel == "tournament":
         if not args.edges:
             print("tournament kernel needs --edges", file=sys.stderr)
             return 2
         kern = tournament_kernel(Tournament.parse(n, args.edges), a)
-    else:
-        print(f"unknown kernel {args.kernel!r}", file=sys.stderr)
-        return 2
+    else:  # the parser admits no other kernel name
+        kern = {"dyson": dyson_kernel, "tkernel": tkernel,
+                "alternating": bg_alternating_kernel}[args.kernel](a)
     coeff = kern.coeff_x(v)
     # t carries no x, so substituting it commutes with the extraction
     if args.kernel == "tkernel" and args.t_mode == "qa":

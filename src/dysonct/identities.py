@@ -14,7 +14,9 @@ polynomial.
 
 The cleared u-sum left side is a path sum over the subset lattice, not
 one expanded product per permutation (see the u-sum section); the tests
-keep the per-permutation expansion as its reference.
+keep the per-permutation expansion as its reference.  Grids whose cases
+share a kernel per a read it through one cache, ``cached_kernel``, and a
+kernel is named by its ``mpoly.kernel_factors`` family throughout.
 
 Each identity has one checker, ``verify_<identity>``: the identity's name
 with ``-`` turned into ``_``.  It takes one case's params as keyword
@@ -37,7 +39,7 @@ import json
 from .combi import (
     Permutation, Tournament, ZeroOneMatrix, left_justified_from_rows,
     ell_stats, partial_sums, sort_desc, reverse, staircase,
-    conjugate, is_partition, is_strict, weight,
+    conjugate, is_strict, weight,
 )
 from .interp import (
     closed_eval, dyson_coeff_interpolated, sills_coeff_interpolated,
@@ -47,7 +49,7 @@ from .mpoly import (
     kernel_factors, table_kernel, table_u, table_x, tau_kernel,
     tkernel, tournament_kernel, tzero_kernel,
 )
-from .qpoly import Cyclo, CycloBasis, IntPoly, qmultinom
+from .qpoly import Cyclo, CycloBasis, IntPoly, qmultinom, render_monomial
 from .symfun import (
     hook_content, key_poly, keyhat_poly, scalar_product, schur_onevar_value,
     schur_principal,
@@ -65,6 +67,14 @@ def t_monomial(table: VarTable, S) -> MPoly:
     return MPoly.monomial(table, {table.t_index(i, j): 1 for i, j in S})
 
 
+@functools.lru_cache(maxsize=4)
+def cached_kernel(build, *args) -> Kernel:
+    """``build(*args)``, kept for the coefficient reads of a grid that
+    enumerates a, the first argument, outermost.  Callers pass a builder by
+    its name in this module, so a wrapper installed over it sees each build."""
+    return build(*args)
+
+
 def _render(lhs, rhs, render=str):
     """``(render(lhs), render(rhs))``, rendering once when the two sides
     are equal as exact values: then both are the same string."""
@@ -74,13 +84,13 @@ def _render(lhs, rhs, render=str):
 
 def _t_report(p: MPoly, coeffs: dict | None = None) -> str:
     """The t-coefficients of p (``coeffs``, when the caller has them) as
-    JSON {t-monomial: q-polynomial}, named after the pairs of ``p.table``."""
-    body = {}
-    for texp, poly in sorted((coeffs or p.t_coefficients()).items()):
-        name = "*".join(f"t[{i},{j}]^{e}" if e != 1 else f"t[{i},{j}]"
-                        for (i, j), e in zip(p.table.t_pairs, texp) if e) or "1"
-        body[name] = str(poly)
-    return json.dumps(body, sort_keys=True)
+    JSON {t-monomial: q-polynomial}, each t named as ``p.table`` names it
+    and the empty monomial as ``1``."""
+    table = p.table
+    names = [table.names[table.t_index(i, j)] for i, j in table.t_pairs]
+    return json.dumps({render_monomial(zip(names, texp)) or "1": str(poly)
+                       for texp, poly in (coeffs or p.t_coefficients()).items()},
+                      sort_keys=True)
 
 
 def _poincare_sum(table: VarTable, perms, weight) -> MPoly:
@@ -200,34 +210,28 @@ def rhs_tournament(t: Tournament, a) -> IntPoly:
 
 # -- Kadell-type coefficients ------------------------------------------------------
 
-def D_vlambda(v, lam, a, t_mode: str = "qa",
+def D_vlambda(v, lam, a, family: str,
               table: VarTable | None = None) -> MPoly:
     """Brute-force CT[ x^{-v} s_lambda(x^(a)) kernel ].
 
-    ``t_mode`` picks the kernel deformation: "symbolic" keeps the t
-    variables and "qa" substitutes t[i,j] = q^{a_j} (the plain product).
+    ``family`` names the kernel as ``kernel_factors`` does: "t" keeps the
+    t variables (by default on ``table_kernel``) and "dyson" is the plain
+    product, the t kernel at t[i,j] = q^{a_j} (by default on ``table_x``).
     """
     v = tuple(v)
     a = tuple(a)
     n = len(a)
     if len(v) != n:
         raise ValueError("v and a must share a length")
-    if t_mode == "symbolic":
-        family = "t"
-        if table is None:
-            table = table_kernel(n)
-    elif t_mode == "qa":
-        family = "dyson"
-        if table is None:
-            table = table_x(n)
-    else:
-        raise ValueError(f"unknown t_mode {t_mode!r}")
+    if family not in ("dyson", "t"):
+        raise ValueError(f"D_vlambda reads the dyson or t kernel, not {family!r}")
+    if table is None:
+        table = (table_x if family == "dyson" else table_kernel)(n)
     # the Schur factor is one more factor, so the full kernel is never built
     out = Kernel(kernel_factors(family, a, table)
                  + [schur_principal(lam, a, table)], table).coeff_x(v)
-    if weight(v) != sum(lam):
-        if not out.is_zero:
-            raise AssertionError("homogeneity violated: nonzero CT at |v| != |la|")
+    if weight(v) != sum(lam) and not out.is_zero:
+        raise AssertionError("homogeneity violated: nonzero CT at |v| != |la|")
     return out
 
 
@@ -400,25 +404,28 @@ def usum_k_cleared_sides(n: int, k: int):
 
 # -- (0,1)-matrix propositions ---------------------------------------------------------
 
-@functools.lru_cache(maxsize=4)
-def cached_tau_kernel(a: tuple, m: int) -> Kernel:
-    """``tau_kernel(a, m)``, kept for the kappa of a grid enumerated by a."""
-    return tau_kernel(a, m)
-
-
 def solve_column_relation(kappa, m: int):
-    """All (lam, w) with conj(lam) = w(c(kappa) + delta_m) - delta_m."""
+    """All (lam, w) with conj(lam) = w(c(kappa) + delta_m) - delta_m: as
+    conj(lam) + delta_m strictly decreases, w sorts c(kappa) + delta_m, so
+    there is one when its entries are distinct and none otherwise."""
     delta = staircase(m)
-    c = kappa.col_sums()
-    out = []
-    for w in Permutation.all_perms(m):
-        u = tuple(x - d for x, d in zip(w.act(tuple(x + d for x, d in zip(c, delta))),
-                                        delta))
-        if any(x < 0 for x in u) or not is_partition(u):
-            continue
-        lam_conj = tuple(x for x in u if x)
-        out.append((conjugate(lam_conj) if lam_conj else (), w))
-    return out
+    shifted = [x + d for x, d in zip(kappa.col_sums(), delta)]
+    if len(set(shifted)) < m:
+        return []
+    word = sorted(range(1, m + 1), key=lambda j: -shifted[j - 1])
+    conj = [shifted[j - 1] - d for j, d in zip(word, delta)]
+    return [(conjugate(conj), Permutation(word))]
+
+
+def _check_column_relation(kappa, lam, w: Permutation | None = None):
+    """Raise ValueError unless lam, up to trailing zeros, and w (any w, when
+    None) solve the column relation of kappa."""
+    lam = tuple(lam)
+    for sol, sol_w in solve_column_relation(kappa, kappa.shape[1]):
+        if lam == sol + (0,) * (len(lam) - len(sol)) and w in (None, sol_w):
+            return
+    raise ValueError(f"lam = {lam} and w = {w} do not solve the column "
+                     f"relation of kappa = {kappa.serialize()}")
 
 
 def tau_kappa_coeff(kappa, a) -> MPoly:
@@ -431,19 +438,21 @@ def tau_kappa_coeff(kappa, a) -> MPoly:
     """
     rows = kappa.row_sums()
     mu = rows + tuple(-c for c in kappa.col_sums())
-    kernel = cached_tau_kernel(tuple(a), kappa.shape[1])
+    kernel = cached_kernel(tau_kernel, tuple(a), kappa.shape[1])
     return kernel.coeff_x(mu) * (-1) ** sum(rows)
 
 
 def prop_kappa_sides(kappa, lam, w: Permutation, a):
-    """Both sides of the kappa-extraction identity, as polynomials in q and t."""
+    """Both sides of the kappa-extraction identity, as polynomials in q and
+    t; (lam, w) must solve the column relation of kappa."""
     a = tuple(a)
     n, m = kappa.shape
     if len(a) != n:
         raise ValueError("a must have one entry per row of kappa")
     if w.n != m:
         raise ValueError(f"w permutes {w.n} letters and kappa has {m} columns")
-    lhs = D_vlambda(kappa.row_sums(), lam, a, "symbolic")
+    _check_column_relation(kappa, lam, w)
+    lhs = D_vlambda(kappa.row_sums(), lam, a, "t")
     return lhs, tau_kappa_coeff(kappa, a) * w.sign()
 
 
@@ -551,15 +560,6 @@ def rhs_lxz(v, a) -> IntPoly:
     return _near_ct_basis(a).combine(map(IntPoly, coeffs))
 
 
-@functools.lru_cache(maxsize=4)
-def cached_kernel(family: str, a: tuple) -> Kernel:
-    """``dyson_kernel(a)`` or ``tzero_kernel(a)``, kept for the consecutive
-    coefficient extractions of a grid enumerated by ``a``."""
-    # looked up at call time, so a wrapper installed over a builder sees
-    # every real build
-    return {"dyson": dyson_kernel, "tzero": tzero_kernel}[family](a)
-
-
 def sills_lhs(a, r: int, s: int) -> IntPoly:
     """CT[(x_r/x_s) * Dyson kernel] by brute force."""
     return lxz_lhs(tuple((1 if i == s else 0) - (1 if i == r else 0)
@@ -568,7 +568,7 @@ def sills_lhs(a, r: int, s: int) -> IntPoly:
 
 def lxz_lhs(v, a) -> IntPoly:
     """CT[x^{-v} * Dyson kernel] by brute force (v may have negatives)."""
-    return cached_kernel("dyson", tuple(a)).coeff_x(v).to_intpoly()
+    return cached_kernel(dyson_kernel, tuple(a)).coeff_x(v).to_intpoly()
 
 
 # -- symmetry and reduction cross-checks -----------------------------------------------
@@ -576,8 +576,8 @@ def lxz_lhs(v, a) -> IntPoly:
 def lemma_sym_check(v, lam, a, w: Permutation) -> bool:
     """D_{v,lam}(a; t) = t_{R(w)} * D_{w(v),lam}(w(a); w(t)), all symbolic."""
     table = table_kernel(len(a))
-    lhs = D_vlambda(v, lam, a, "symbolic", table)
-    inner = D_vlambda(w.act(v), lam, w.act(a), "symbolic", table)
+    lhs = D_vlambda(v, lam, a, "t", table)
+    inner = D_vlambda(w.act(v), lam, w.act(a), "t", table)
     rhs = inner.subst_t_perm(w) * t_monomial(table, w.recording_set())
     return lhs == rhs
 
@@ -587,7 +587,7 @@ def reduction_check(v, a, m: int) -> bool:
     v = tuple(v)
     a = tuple(a)
     zeros = [i for i, x in enumerate(a) if x == 0]
-    lhs = D_vlambda(v, (m,), a, "qa")
+    lhs = D_vlambda(v, (m,), a, "dyson")
     if any(v[i] != 0 for i in zeros):
         return lhs.is_zero
     keep = [i for i in range(len(a)) if a[i] != 0]
@@ -595,7 +595,7 @@ def reduction_check(v, a, m: int) -> bool:
         return lhs.is_zero == (m != 0)
     sub_v = tuple(v[i] for i in keep)
     sub_a = tuple(a[i] for i in keep)
-    rhs = D_vlambda(sub_v, (m,), sub_a, "qa")
+    rhs = D_vlambda(sub_v, (m,), sub_a, "dyson")
     return lhs.to_intpoly() == rhs.to_intpoly()
 
 
@@ -663,7 +663,7 @@ def verify_tournament(a, edges: str):
 
 
 def verify_kadell(v, a):
-    lhs = D_vlambda(v, (weight(v),), a, "qa").to_intpoly()
+    lhs = D_vlambda(v, (weight(v),), a, "dyson").to_intpoly()
     return _render(lhs, rhs_kadell(v, a))
 
 
@@ -674,14 +674,14 @@ def verify_kadell_t(k: int, m: int, a):
         raise ValueError(f"k = {k} is out of range 1..{n}")
     v = (0,) * (k - 1) + (m,) + (0,) * (n - k)
     table = table_kernel(n)
-    return _render(D_vlambda(v, (m,), a, "symbolic", table),
+    return _render(D_vlambda(v, (m,), a, "t", table),
                    rhs_kadell_t(k, m, a, table), _t_report)
 
 
 def verify_strict(lam, a, w: str):
     lam, w = tuple(lam), Permutation.parse(w)
     v = w.inverse().act(reverse(lam))
-    lhs = D_vlambda(v, tuple(x for x in lam if x), a, "qa").to_intpoly()
+    lhs = D_vlambda(v, tuple(x for x in lam if x), a, "dyson").to_intpoly()
     return _render(lhs, rhs_strict(lam, a, w))
 
 
@@ -699,8 +699,13 @@ def verify_prop_kappa(kappa: str, lam, w: str, a):
 
 
 def verify_prop_zero(kappa: str, lam, a):
-    row_sums = ZeroOneMatrix.parse(kappa).row_sums()
-    return str(D_vlambda(row_sums, lam, a, "symbolic")), "0"
+    """D_{r(kappa),lam} = 0 for a kappa that is not left-justified and a lam
+    that solves its column relation."""
+    kappa = ZeroOneMatrix.parse(kappa)
+    if kappa.is_left_justified():
+        raise ValueError(f"kappa = {kappa.serialize()} is left-justified")
+    _check_column_relation(kappa, lam)
+    return str(D_vlambda(kappa.row_sums(), lam, a, "t")), "0"
 
 
 def verify_prop_vnu(v, a, m: int):
@@ -724,7 +729,8 @@ def verify_interp_dyson(a, S):
     value, _, _ = dyson_coeff_interpolated(a, S)
     d_in, e_out, _, K = ell_stats(S, n)
     v = tuple(e - d for e, d in zip(e_out, d_in))
-    brute = cached_kernel("tzero", a).coeff_x(v).to_intpoly() * (-1) ** len(S)
+    brute = (cached_kernel(tzero_kernel, a).coeff_x(v).to_intpoly()
+             * (-1) ** len(S))
     lhs, rhs = _render(value, brute)
     if (K == n) != (not value.is_zero):
         lhs += " [K-dichotomy violated]"

@@ -23,7 +23,7 @@ This module owns the packed format: other modules go through exponent
 vectors and ``monomial_key`` and never shift or mask a packed key.
 
 MPoly values are immutable once built; every operation returns a fresh
-polynomial.
+polynomial.  ``str`` writes one through ``qpoly.render_terms``.
 
 A ``Kernel`` and ``mul_coeff_x`` multiply and join q-packed polynomials,
 which fold each coefficient polynomial in q into one integer (a Kronecker
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 
-from .qpoly import IntPoly, balanced_digits
+from .qpoly import IntPoly, balanced_digits, render_monomial, render_terms
 
 _W = 32
 _B = 1 << (_W - 1)
@@ -535,28 +535,9 @@ class MPoly:
     # -- text form -------------------------------------------------------------------
 
     def __str__(self):
-        if not self._terms:
-            return "0"
         names = self.table.names
-        parts = []
-        for vec, c in self.terms():
-            factors = []
-            for name, e in zip(names, vec):
-                if e == 0:
-                    continue
-                factors.append(name if e == 1 else f"{name}^{e}")
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return render_terms([(c, render_monomial(zip(names, vec)))
+                             for vec, c in self.terms()])
 
 
 # -- products of many factors ----------------------------------------------------

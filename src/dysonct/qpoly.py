@@ -35,6 +35,10 @@ route.  Every QRat is kept in a canonical form:
     rationals and no integer content.
 
 With that convention equality of quotients is again structural.
+
+Every printed polynomial, an ``IntPoly``, an ``mpoly.MPoly`` or a report's
+t-monomial key, is written by the text form below: ``render_terms`` owns
+the signs and ``*``, and ``render_power`` each ``name^e``.
 """
 
 from __future__ import annotations
@@ -44,6 +48,33 @@ import functools
 
 class NonExactDivision(ArithmeticError):
     """Raised when a division that must be exact leaves a remainder."""
+
+
+# -- text form -------------------------------------------------------------------
+
+def render_power(name: str, e: int) -> str:
+    """``name^e``, or the bare name when e is 1."""
+    return name if e == 1 else f"{name}^{e}"
+
+
+def render_monomial(powers) -> str:
+    """The (name, e) pairs with e != 0 as powers joined by ``*``, or ""."""
+    return "*".join([render_power(name, e) for name, e in powers if e])
+
+
+def render_terms(terms) -> str:
+    """(coefficient, monomial) terms as a sum in the given order; each
+    monomial is one string, "" for 1.  A coefficient 1 or -1 is left off a
+    monomial and any other joins it by ``*``; terms after the first are
+    signed ``+ `` or ``- ``, and the empty sum is ``0``.
+    """
+    parts = []
+    for c, mono in terms:
+        mag = abs(c)
+        body = (mono if mag == 1 else f"{mag}*{mono}") if mono else str(mag)
+        sign = ("+ " if c > 0 else "- ") if parts else ("" if c > 0 else "-")
+        parts.append(sign + body)
+    return " ".join(parts) or "0"
 
 
 class IntPoly:
@@ -206,21 +237,8 @@ class IntPoly:
     # -- text form ---------------------------------------------------------
 
     def __str__(self):
-        if not self._c:
-            return "0"
-        parts = []
-        for e, c in self.items():
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "q" if e == 1 else f"q^{e}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return render_terms([(c, render_power("q", e) if e else "")
+                             for e, c in self.items()])
 
 
 ZERO = IntPoly()

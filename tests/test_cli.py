@@ -145,44 +145,70 @@ class TestSummary:
 
 
 class TestKernelCache:
-    def test_interp_dyson_builds_one_kernel_per_a(self, monkeypatch):
-        config = RunConfig("interp-dyson", n=4, a_max=2, sum_max=7, seed=5)
-        strip = lambda r: {k: v for k, v in r.items() if k != "millis"}
+    @staticmethod
+    def _count_builds(monkeypatch, name):
+        """Installs a counting wrapper over the builder ``name`` of
+        ``identities``, as a tracer would; returns the list it appends to."""
         builds = []
-        builder = identities.tzero_kernel
+        builder = getattr(identities, name)
 
         def counting(a, *args, **kwargs):
             builds.append(tuple(a))
             return builder(a, *args, **kwargs)
 
+        monkeypatch.setattr(identities, name, counting)
+        return builds
+
+    def test_interp_dyson_builds_one_kernel_per_a(self, monkeypatch):
+        config = RunConfig("interp-dyson", n=4, a_max=2, sum_max=7, seed=5)
+        strip = lambda r: {k: v for k, v in r.items() if k != "millis"}
         identities.cached_kernel.cache_clear()
-        monkeypatch.setattr(identities, "tzero_kernel", counting)
+        builds = self._count_builds(monkeypatch, "tzero_kernel")
         try:
             code, cached = run(config)
         finally:
             identities.cached_kernel.cache_clear()
         distinct = {tuple(r["params"]["a"]) for r in cached}
         assert code == 0
+        # the wrapper over the builder's name sees every real build
         assert sorted(builds) == sorted(distinct)
         assert len(cached) == 30 * len(distinct)
 
         monkeypatch.setattr(identities, "cached_kernel",
-                            lambda family, a: builder(a))
+                            lambda build, *args: build(*args))
         _, uncached = run(config)
         assert [strip(r) for r in cached] == [strip(r) for r in uncached]
+        assert len(builds) == len(distinct) + len(uncached)
 
-    def test_prop_kappa_keeps_at_most_four_tau_kernels(self):
-        identities.cached_tau_kernel.cache_clear()
+    def test_prop_kappa_keeps_at_most_four_tau_kernels(self, monkeypatch):
+        identities.cached_kernel.cache_clear()
+        builds = self._count_builds(monkeypatch, "tau_kernel")
         try:
             code, records = run(RunConfig("prop-kappa", n=2, a_max=3, m_max=2))
-            info = identities.cached_tau_kernel.cache_info()
+            info = identities.cached_kernel.cache_info()
         finally:
-            identities.cached_tau_kernel.cache_clear()
+            identities.cached_kernel.cache_clear()
         distinct = {tuple(r["params"]["a"]) for r in records}
         assert code == 0
         # the enumerator puts a outermost, so each a's kernel is built once
-        assert info.misses == len(distinct) == 9
+        assert info.misses == len(distinct) == len(builds) == 9
+        assert sorted(builds) == sorted(distinct)
         assert info.currsize <= 4
+
+    def test_the_cache_keys_on_the_builder_and_its_arguments(self):
+        identities.cached_kernel.cache_clear()
+        try:
+            dyson = identities.cached_kernel(identities.dyson_kernel, (1, 2))
+            assert identities.cached_kernel(identities.dyson_kernel,
+                                            (1, 2)) is dyson
+            tzero = identities.cached_kernel(identities.tzero_kernel, (1, 2))
+            assert tzero is not dyson
+            assert str(tzero.ct_x()) != str(dyson.ct_x())
+            tau = identities.cached_kernel(identities.tau_kernel, (1, 2), 1)
+            assert tau.table.nx == 3
+            assert identities.cached_kernel.cache_info().misses == 3
+        finally:
+            identities.cached_kernel.cache_clear()
 
 
 class TestParallelism:

@@ -5,7 +5,8 @@ import pytest
 
 from dysonct.combi import (
     Permutation, Tournament, ZeroOneMatrix, all_compositions,
-    all_tournaments, left_justified_from_rows, partial_sums, sort_desc,
+    all_tournaments, all_zero_one_matrices, conjugate, is_partition,
+    left_justified_from_rows, partial_sums, sort_desc, staircase,
 )
 from dysonct.identities import (
     D_vlambda, _c_weights, _poincare_sum, _render, c_w, contributing_perms,
@@ -267,17 +268,17 @@ def _kadell_t_reference(k, m, a, table):
 
 class TestKadell:
     def test_homogeneity_zero(self):
-        assert D_vlambda((1, 0), (2,), (1, 1), "qa").is_zero
+        assert D_vlambda((1, 0), (2,), (1, 1), "dyson").is_zero
 
     def test_zero_multiplicity_kills(self):
         # a_k = 0 and v_k != 0 forces the constant term to vanish
-        assert D_vlambda((0, 1), (1,), (1, 0), "qa").is_zero
+        assert D_vlambda((0, 1), (1,), (1, 0), "dyson").is_zero
         assert rhs_kadell((0, 1), (1, 0)).is_zero
 
     def test_one_variable_reduces_to_hook_content(self):
         for a in (1, 2, 3):
             for m in (1, 2, 3):
-                lhs = D_vlambda((m,), (m,), (a,), "qa").to_intpoly()
+                lhs = D_vlambda((m,), (m,), (a,), "dyson").to_intpoly()
                 assert lhs == qbinom(a + m - 1, m)
                 assert rhs_kadell((m,), (a,)) == qbinom(a + m - 1, m)
 
@@ -333,9 +334,23 @@ class TestKadell:
             verify_kadell([2, -1], [1, 1])
 
     def test_kadell_rejects_negative_v_with_nonzero_lhs(self):
-        assert not D_vlambda((3, -1), (2,), (2, 1), "qa").is_zero
+        assert not D_vlambda((3, -1), (2,), (2, 1), "dyson").is_zero
         with pytest.raises(ValueError, match="nonnegative v"):
             verify_kadell([3, -1], [2, 1])
+
+    def test_D_vlambda_reads_only_the_dyson_and_t_kernels(self):
+        for family in ("tzero", "tau", "bg", "qa", "symbolic", ""):
+            with pytest.raises(ValueError, match="dyson or t kernel"):
+                D_vlambda((1, 0), (1,), (1, 1), family)
+
+    def test_D_vlambda_t_family_at_q_powers_is_the_dyson_family(self):
+        for a in [(1, 1), (2, 1), (1, 2, 1)]:
+            n = len(a)
+            powers = {(i, j): a[j - 1] for i in range(1, n)
+                      for j in range(i + 1, n + 1)}
+            for v in all_compositions(2, n):
+                sym = D_vlambda(v, (2,), a, "t").subst_t_qpowers(powers)
+                assert sym.to_intpoly() == D_vlambda(v, (2,), a, "dyson").to_intpoly()
 
     def test_kadell_t_k_above_n_names_k(self):
         with pytest.raises(ValueError, match="k = 3 is out of range 1..2"):
@@ -476,6 +491,22 @@ class TestUSum:
                 usum_k_cleared_sides(3, k)
 
 
+def _solve_column_relation_reference(kappa, m):
+    """The search over all m! permutations w that solve_column_relation
+    replaced."""
+    delta = staircase(m)
+    c = kappa.col_sums()
+    out = []
+    for w in Permutation.all_perms(m):
+        u = tuple(x - d for x, d in zip(w.act(tuple(x + d for x, d in zip(c, delta))),
+                                        delta))
+        if any(x < 0 for x in u) or not is_partition(u):
+            continue
+        lam_conj = tuple(x for x in u if x)
+        out.append((conjugate(lam_conj) if lam_conj else (), w))
+    return out
+
+
 class TestMatrixPropositions:
     def test_solve_column_relation(self):
         kappa = left_justified_from_rows((1, 0), 2)
@@ -511,6 +542,50 @@ class TestMatrixPropositions:
             with pytest.raises(ValueError, match="permutes"):
                 verify_prop_kappa("10/01", [1, 1], w, [1, 1])
 
+    def test_solve_column_relation_matches_the_search_over_all_perms(self):
+        for n in (1, 2, 3):
+            for m in (0, 1, 2, 3, 4):
+                if n * m > 9:
+                    continue
+                for kappa in all_zero_one_matrices(n, m):
+                    assert (solve_column_relation(kappa, m)
+                            == _solve_column_relation_reference(kappa, m)), kappa
+
+    def test_prop_vnu_cases_solve_the_column_relation(self):
+        # prop-vnu reads the left-justified kappa with (sort(v), identity)
+        count = 0
+        for n in (1, 2, 3, 4):
+            for m in (0, 1, 2, 3, 4):
+                for v in itertools.product(range(m + 1), repeat=n):
+                    kappa = left_justified_from_rows(v, m)
+                    lam = tuple(x for x in sort_desc(v) if x)
+                    assert solve_column_relation(kappa, m) == [
+                        (lam, Permutation.identity(m))]
+                    count += 1
+        assert count == 1274
+
+    def test_prop_kappa_rejects_a_pair_outside_the_column_relation(self):
+        # c(kappa) + delta_2 = (2, 1): only lam = (2), w = 12 solves it
+        assert holds(verify_prop_kappa("10/01", [2, 0], "1,2", [1, 1]))
+        for lam, w in (([1, 1], "2,1"), ([1, 1], "1,2"), ([2], "2,1"),
+                       ([0, 2], "1,2"), ([], "1,2")):
+            with pytest.raises(ValueError, match="do not solve"):
+                verify_prop_kappa("10/01", lam, w, [1, 1])
+        # repeated entries in c(kappa) + delta_m: no pair solves it
+        assert solve_column_relation(ZeroOneMatrix.parse("01/00"), 2) == []
+        for w in ("1,2", "2,1"):
+            with pytest.raises(ValueError, match="do not solve"):
+                verify_prop_kappa("01/00", [1], w, [1, 1])
+
+    def test_prop_zero_rejects_a_left_justified_kappa(self):
+        with pytest.raises(ValueError, match="left-justified"):
+            verify_prop_zero("11/00", [2], [1, 1])
+
+    def test_prop_zero_rejects_lambda_outside_the_column_relation(self):
+        assert holds(verify_prop_zero("01/10", [2, 0], [1, 1]))
+        with pytest.raises(ValueError, match="do not solve"):
+            verify_prop_zero("01/10", [1, 1], [1, 1])
+
     def test_prop_vnu_instance(self):
         assert holds(verify_prop_vnu((1, 0), (1, 1), 2))
         assert holds(verify_prop_vnu((2, 1), (2, 1), 2))
@@ -522,7 +597,7 @@ class TestMatrixPropositions:
         assert (((2,), Permutation.identity(2)) in sols)
         assert not kappa.is_left_justified()
         assert holds(verify_prop_zero(kappa.serialize(), (2,), (1, 1)))
-        lhs = D_vlambda((1, 1), (2,), (1, 1), "symbolic")
+        lhs = D_vlambda((1, 1), (2,), (1, 1), "t")
         assert lhs.is_zero
 
     def test_lemma_sym_covariance(self):

@@ -354,7 +354,7 @@ class TestTCoefficients:
             for k in (1, 2, 3):
                 for m in (1, 2):
                     v = (0,) * (k - 1) + (m,) + (0,) * (3 - k)
-                    p = D_vlambda(v, (m,), a, "symbolic", tab)
+                    p = D_vlambda(v, (m,), a, "t", tab)
                     assert p.t_coefficients() == ref_t_coefficients(p)
 
     def test_keys_follow_the_table_pairs(self):
