@@ -9,18 +9,22 @@ The package is organised bottom-up:
   interp      multivariate Lagrange interpolation and the bespoke grids
   identities  closed forms and brute-force verifiers for every identity
   cli         the batch verification harness (``dysonct`` entry point)
+
+Every definition sits on a route that ``dysonct verify`` or ``dysonct ct``
+runs, or is a boundary that the benchmark's tracer wraps; the slow
+references and fixture builders that only the tests use live in
+``tests/reference.py``.
 """
 
-from .qpoly import IntPoly, QRat, qbinom, qmultinom, qpoch
+from .qpoly import IntPoly, QRat, qmultinom
 from .mpoly import (
     Kernel, MPoly, VarTable, bg_alternating_kernel, bg_kernel, dyson_kernel,
-    kernel_factors, poch_factor, table_kernel, table_tau, table_x, tau_kernel,
+    kernel_factors, table_kernel, table_tau, table_x, tau_kernel,
     tkernel, tournament_kernel, tzero_kernel,
 )
 from .combi import (
-    Permutation, Tournament, ZeroOneMatrix, conjugate,
-    dominance_leq, ell_stats, gale_ryser_feasible, is_strict,
-    left_justified_from_rows, pairset_to_perm, staircase,
+    Permutation, Tournament, ZeroOneMatrix, conjugate, ell_stats, is_strict,
+    left_justified_from_rows, staircase,
 )
 from .symfun import (
     divided_difference, hook_content, isobaric_pi, isobaric_pihat, key_poly,

@@ -10,8 +10,9 @@ so a failing case prints the same case text as a passing one.  With one
 job and no budget the cases run in this process, otherwise on at most
 --jobs reusable worker processes.  Under --budget-ms each case is timed
 from when its worker receives it; a worker that overruns is killed, its
-case reported as TIMEOUT, and replaced.  ``ct`` prints a single kernel
-coefficient.  ``list`` names the known identities.
+case reported as TIMEOUT, and replaced.  ``ct`` prints one coefficient of
+a kernel, named by its ``mpoly.kernel_factors`` family.  ``list`` names
+the known identities.
 
 Exit status: 0 when every case agreed or timed out, 1 on any mismatch or
 failed case, 2 on usage errors, which include a grid bound or budget out
@@ -47,6 +48,7 @@ from .combi import (
 )
 from .mpoly import (
     bg_alternating_kernel, dyson_kernel, tkernel, tournament_kernel,
+    tzero_kernel,
 )
 
 JOBS_ENV = "DYSONCT_JOBS"
@@ -157,21 +159,19 @@ def _enum_usum(cfg):
 
 
 def _enum_prop_kappa(cfg):
-    m = cfg.m_max
     for a in _a_values(cfg):
-        for kappa in all_zero_one_matrices(cfg.n, m):
-            for lam, w in ids.solve_column_relation(kappa, m):
+        for kappa in all_zero_one_matrices(cfg.n, cfg.m_max):
+            for lam, w in ids.solve_column_relation(kappa):
                 yield "prop-kappa", {"a": a, "kappa": kappa.serialize(),
                                      "lam": list(lam), "w": w.serialize()}
 
 
 def _enum_prop_zero(cfg):
-    m = cfg.m_max
     for a in _a_values(cfg):
-        for kappa in all_zero_one_matrices(cfg.n, m):
+        for kappa in all_zero_one_matrices(cfg.n, cfg.m_max):
             if kappa.is_left_justified():
                 continue
-            for lam, _ in ids.solve_column_relation(kappa, m):
+            for lam, _ in ids.solve_column_relation(kappa):
                 yield "prop-zero", {"a": a, "kappa": kappa.serialize(),
                                     "lam": list(lam)}
 
@@ -436,27 +436,18 @@ def _ct_command(args, out):
     if len(v) != n:
         print(f"coefficient vector must have length {n}", file=sys.stderr)
         return 2
-    for flag, value, kernel in (("--t-mode", args.t_mode, "tkernel"),
-                                ("--edges", args.edges, "tournament")):
-        if value is not None and args.kernel != kernel:
-            print(f"{flag} applies only to the {kernel} kernel", file=sys.stderr)
-            return 2
+    if args.edges is not None and args.kernel != "tournament":
+        print("--edges applies only to the tournament kernel", file=sys.stderr)
+        return 2
     if args.kernel == "tournament":
         if not args.edges:
             print("tournament kernel needs --edges", file=sys.stderr)
             return 2
         kern = tournament_kernel(Tournament.parse(n, args.edges), a)
-    else:  # the parser admits no other kernel name
-        kern = {"dyson": dyson_kernel, "tkernel": tkernel,
-                "alternating": bg_alternating_kernel}[args.kernel](a)
-    coeff = kern.coeff_x(v)
-    # t carries no x, so substituting it commutes with the extraction
-    if args.kernel == "tkernel" and args.t_mode == "qa":
-        coeff = coeff.subst_t_qpowers({(i, j): a[j - 1] for i in range(1, n)
-                                       for j in range(i + 1, n + 1)})
-    elif args.kernel == "tkernel" and args.t_mode == "zero":
-        coeff = coeff.subst_t_zero()
-    out.write(str(coeff) + "\n")
+    else:  # the parser admits no other kernel family
+        kern = {"dyson": dyson_kernel, "t": tkernel, "tzero": tzero_kernel,
+                "bg-alternating": bg_alternating_kernel}[args.kernel](a)
+    out.write(str(kern.coeff_x(v)) + "\n")
     return 0
 
 
@@ -481,12 +472,11 @@ def build_parser():
     pv.add_argument("--budget-ms", type=int, default=None)
 
     pc = sub.add_parser("ct", help="print one kernel coefficient")
-    pc.add_argument("kernel",
-                    choices=["dyson", "tkernel", "tournament", "alternating"])
+    pc.add_argument("kernel", help="a kernel_factors family",
+                    choices=["dyson", "t", "tzero", "tournament",
+                             "bg-alternating"])
     pc.add_argument("--a", required=True, help="comma-separated sequence")
     pc.add_argument("--v", required=True, help="comma-separated exponents")
-    pc.add_argument("--t-mode", choices=["symbolic", "qa", "zero"],
-                    help="t substitution of tkernel (default symbolic)")
     pc.add_argument("--edges", help="tournament edges, e.g. '1>2 2>3 1>3'")
 
     sub.add_parser("list", help="list known identities")

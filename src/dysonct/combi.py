@@ -28,10 +28,6 @@ class Permutation:
         return cls(range(1, n + 1))
 
     @classmethod
-    def longest(cls, n: int) -> "Permutation":
-        return cls(range(n, 0, -1))
-
-    @classmethod
     def all_perms(cls, n: int):
         for word in itertools.permutations(range(1, n + 1)):
             yield cls(word)
@@ -65,10 +61,6 @@ class Permutation:
         for i, v in enumerate(self.word, start=1):
             inv[v - 1] = i
         return Permutation(inv)
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """(self . other)(i) = self(other(i))."""
-        return Permutation(self(other(i)) for i in range(1, self.n + 1))
 
     def inversions(self) -> frozenset:
         """I(w) = {(i, j) : i < j, w(i) > w(j)}."""
@@ -138,19 +130,6 @@ def conjugate(lam) -> tuple:
     return tuple(sum(1 for part in lam if part > c) for c in range(width))
 
 
-def dominance_leq(mu, nu) -> bool:
-    """mu <= nu in dominance order (equal weights required)."""
-    if sum(mu) != sum(nu):
-        return False
-    pm = pn = 0
-    for a, b in itertools.zip_longest(mu, nu, fillvalue=0):
-        pm += a
-        pn += b
-        if pm > pn:
-            return False
-    return True
-
-
 def staircase(m: int) -> tuple:
     """delta_m = (m-1, ..., 1, 0)."""
     return tuple(range(m - 1, -1, -1))
@@ -191,10 +170,6 @@ def all_pairsets(n: int):
         yield frozenset(p for k, p in enumerate(pairs) if bits >> k & 1)
 
 
-def pairset_serialize(S) -> str:
-    return "{" + ", ".join(f"({i},{j})" for i, j in sorted(S)) + "}"
-
-
 def ell_stats(S, n: int):
     """Return (d, e, ell, K) for a pair set S on {1..n}.
 
@@ -219,18 +194,6 @@ def ell_stats(S, n: int):
     while K < n and counts[K] == 1:
         K += 1
     return tuple(d[1:]), tuple(e[1:]), ell, K
-
-
-def pairset_to_perm(S, n: int):
-    """The w with S = R(w), if one exists (i.e. iff K(S) = n), else None.
-
-    For S = R(w), ell_{w(j)} = n - j, so w(j) is the index whose ell is
-    n - j.
-    """
-    _, _, ell, K = ell_stats(S, n)
-    if K < n:
-        return None
-    return Permutation(ell.index(n - j) + 1 for j in range(1, n + 1))
 
 
 # -- tournaments ---------------------------------------------------------------
@@ -262,14 +225,6 @@ class Tournament:
         for i, j in all_pairs(n):
             edges.add((j, i) if (i, j) in S else (i, j))
         return cls(n, edges)
-
-    @classmethod
-    def natural(cls, n: int) -> "Tournament":
-        return cls.from_pairset(frozenset(), n)
-
-    def reversed_pairs(self) -> frozenset:
-        """The pairs (i, j), i < j, oriented against the natural order."""
-        return frozenset((j, i) for i, j in self.edges if j < i)
 
     def beats(self, i: int, j: int) -> bool:
         return (i, j) in self.edges
@@ -316,11 +271,6 @@ class Tournament:
 
     def __repr__(self):
         return f"Tournament({self.n}: {self.serialize()})"
-
-
-def all_tournaments(n: int):
-    for S in all_pairsets(n):
-        yield Tournament.from_pairset(S, n)
 
 
 # -- (0,1)-matrices -------------------------------------------------------------
@@ -375,27 +325,7 @@ def left_justified_from_rows(r, m: int) -> ZeroOneMatrix:
                                for x in r))
 
 
-def gale_ryser_feasible(mu, nu) -> bool:
-    """Whether some (0,1)-matrix has row sums mu and column sums nu.
-
-    The criterion is dominance of the sorted row sums by the conjugate of
-    the sorted column sums; feasibility only depends on the multisets.
-    """
-    mu = sort_desc(mu)
-    nu = sort_desc(nu)
-    if sum(mu) != sum(nu):
-        return False
-    return dominance_leq(mu, conjugate(nu) + (0,) * len(mu))
-
-
 def all_zero_one_matrices(n: int, m: int):
     for bits in itertools.product((0, 1), repeat=n * m):
         yield ZeroOneMatrix(tuple(tuple(bits[i * m + j] for j in range(m))
                                   for i in range(n)))
-
-
-def matrices_with_sums(r, c):
-    """All (0,1)-matrices with the given row and column sums (small sizes)."""
-    n, m = len(r), len(c)
-    return [k for k in all_zero_one_matrices(n, m)
-            if k.row_sums() == tuple(r) and k.col_sums() == tuple(c)]

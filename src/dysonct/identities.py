@@ -63,10 +63,6 @@ def w_sigma(a, w: Permutation, i: int) -> int:
     return sum(a[w(j) - 1] for j in range(1, i + 1))
 
 
-def t_monomial(table: VarTable, S) -> MPoly:
-    return MPoly.monomial(table, {table.t_index(i, j): 1 for i, j in S})
-
-
 @functools.lru_cache(maxsize=4)
 def cached_kernel(build, *args) -> Kernel:
     """``build(*args)``, kept for the coefficient reads of a grid that
@@ -404,10 +400,12 @@ def usum_k_cleared_sides(n: int, k: int):
 
 # -- (0,1)-matrix propositions ---------------------------------------------------------
 
-def solve_column_relation(kappa, m: int):
-    """All (lam, w) with conj(lam) = w(c(kappa) + delta_m) - delta_m: as
-    conj(lam) + delta_m strictly decreases, w sorts c(kappa) + delta_m, so
-    there is one when its entries are distinct and none otherwise."""
+def solve_column_relation(kappa):
+    """All (lam, w) with conj(lam) = w(c(kappa) + delta_m) - delta_m, m the
+    column count of kappa: as conj(lam) + delta_m strictly decreases, w
+    sorts c(kappa) + delta_m, so there is one when its entries are distinct
+    and none otherwise."""
+    m = kappa.shape[1]
     delta = staircase(m)
     shifted = [x + d for x, d in zip(kappa.col_sums(), delta)]
     if len(set(shifted)) < m:
@@ -421,7 +419,7 @@ def _check_column_relation(kappa, lam, w: Permutation | None = None):
     """Raise ValueError unless lam, up to trailing zeros, and w (any w, when
     None) solve the column relation of kappa."""
     lam = tuple(lam)
-    for sol, sol_w in solve_column_relation(kappa, kappa.shape[1]):
+    for sol, sol_w in solve_column_relation(kappa):
         if lam == sol + (0,) * (len(lam) - len(sol)) and w in (None, sol_w):
             return
     raise ValueError(f"lam = {lam} and w = {w} do not solve the column "
@@ -462,24 +460,6 @@ def prop_vnu_sides(v, a, m: int):
     column relation holds with lam = v sorted and w the identity."""
     return prop_kappa_sides(left_justified_from_rows(v, m), sort_desc(v),
                             Permutation.identity(m), a)
-
-
-def contributing_perms(lam_bar, m: int):
-    """Permutations of n+m letters that survive both the restricted-t
-    truncation and the read of the left-justified kappa with row sums
-    v = lam_bar: their crossing pairs are exactly the ones of kappa."""
-    n = len(lam_bar)
-    want = frozenset((i, n + j) for i in range(1, n + 1)
-                     for j in range(1, lam_bar[i - 1] + 1))
-    out = []
-    for w in Permutation.all_perms(n + m):
-        r = w.recording_set()
-        if any(i > n for i, j in r):
-            continue
-        crossing = frozenset(p for p in r if p[1] > n)
-        if crossing == want:
-            out.append(w)
-    return out
 
 
 # -- near-constant-term coefficients (Sills, Lv-Xin-Zhou) -------------------------------
@@ -569,34 +549,6 @@ def sills_lhs(a, r: int, s: int) -> IntPoly:
 def lxz_lhs(v, a) -> IntPoly:
     """CT[x^{-v} * Dyson kernel] by brute force (v may have negatives)."""
     return cached_kernel(dyson_kernel, tuple(a)).coeff_x(v).to_intpoly()
-
-
-# -- symmetry and reduction cross-checks -----------------------------------------------
-
-def lemma_sym_check(v, lam, a, w: Permutation) -> bool:
-    """D_{v,lam}(a; t) = t_{R(w)} * D_{w(v),lam}(w(a); w(t)), all symbolic."""
-    table = table_kernel(len(a))
-    lhs = D_vlambda(v, lam, a, "t", table)
-    inner = D_vlambda(w.act(v), lam, w.act(a), "t", table)
-    rhs = inner.subst_t_perm(w) * t_monomial(table, w.recording_set())
-    return lhs == rhs
-
-
-def reduction_check(v, a, m: int) -> bool:
-    """D_{v,(m)}(a) = D_{v^I,(m)}(a^I) * prod(delta_{v_i,0}) over zero a_i."""
-    v = tuple(v)
-    a = tuple(a)
-    zeros = [i for i, x in enumerate(a) if x == 0]
-    lhs = D_vlambda(v, (m,), a, "dyson")
-    if any(v[i] != 0 for i in zeros):
-        return lhs.is_zero
-    keep = [i for i in range(len(a)) if a[i] != 0]
-    if not keep:
-        return lhs.is_zero == (m != 0)
-    sub_v = tuple(v[i] for i in keep)
-    sub_a = tuple(a[i] for i in keep)
-    rhs = D_vlambda(sub_v, (m,), sub_a, "dyson")
-    return lhs.to_intpoly() == rhs.to_intpoly()
 
 
 # -- checkers -------------------------------------------------------------------------

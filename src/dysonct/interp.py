@@ -20,10 +20,11 @@ and q-power bookkeeping identities along the way.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .combi import Permutation, ell_stats
-from .mpoly import MPoly, product, table_x
+from .mpoly import MPoly
 from .qpoly import Cyclo, CycloBasis, IntPoly
 
 
@@ -50,13 +51,7 @@ class Grid:
         return tuple(len(b) for b in self.points)
 
     def iter_points(self):
-        from itertools import product as iproduct
-        yield from iproduct(*self.points)
-
-
-def default_grid(d) -> Grid:
-    """B_i = {0, 1, ..., d_i}: the simplest admissible grid."""
-    return Grid(tuple(tuple(range(di + 1)) for di in d))
+        yield from itertools.product(*self.points)
 
 
 def generic_coeff(F: MPoly, d, grid: Grid) -> IntPoly:
@@ -104,29 +99,6 @@ def fs_factors(a, S):
     """(sign, factors) of the homogenised coefficient polynomial F_S: the
     t -> 0 kernel's factors, with sign (-1)^{number of pairs in S}."""
     return (-1) ** len(S), _pair_factors(a, 1)
-
-
-def fs_polynomial(a, S, table=None) -> MPoly:
-    """F_S fully expanded (used by the generic extractor at small n)."""
-    a = tuple(a)
-    if table is None:
-        table = table_x(len(a))
-    sign, factors = fs_factors(a, S)
-    polys = []
-    for u, v, k in factors:
-        polys.append(MPoly.monomial(table, {table.x_index(u): 1})
-                     - MPoly.monomial(table, {0: k, table.x_index(v): 1}))
-    return product(polys, table) * sign
-
-
-def fs_degree_profile(a, S) -> tuple:
-    """Exponents of the target monomial of F_S."""
-    a = tuple(a)
-    n = len(a)
-    total = sum(a)
-    d_in, e_out, _, _ = ell_stats(S, n)
-    return tuple(total - a[i - 1] - (n - i) - d_in[i - 1] + e_out[i - 1]
-                 for i in range(1, n + 1))
 
 
 def _factored(sign: int, factors, alpha, den=()) -> Cyclo:
@@ -302,11 +274,10 @@ def sills_factors(a):
     return 1, _pair_factors(a, 0)
 
 
-def sills_grid(a, r: int, keep_excluded: bool = False) -> Grid:
+def sills_grid(a, r: int) -> Grid:
     """The grid of the direct interpolation proof of the near-constant-term
-    formula, normalised to s = 1.  ``keep_excluded`` readmits the point
-    removed from B_r (useful only for demonstrating that a second
-    evaluation point would survive)."""
+    formula, normalised to s = 1.  B_r leaves out the point
+    a_2 + ... + a_{r-1}; readmitted, it lets a second point survive."""
     a = tuple(a)
     n = len(a)
     if not 2 <= r <= n:
@@ -322,8 +293,7 @@ def sills_grid(a, r: int, keep_excluded: bool = False) -> Grid:
             b = list(range(total - a[0] + 2))
         elif i == r:
             cut = sum(a[1:r - 1])
-            b = [v for v in range(total - a[r - 1] + 1)
-                 if keep_excluded or v != cut]
+            b = [v for v in range(total - a[r - 1] + 1) if v != cut]
         else:
             b = list(range(total - a[i - 1] + 1))
         points.append(tuple(b))

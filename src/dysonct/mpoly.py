@@ -13,10 +13,9 @@ cheap enough for the verification grids.  Every exponent must lie in the
 signed field range [-2^31, 2^31): ``VarTable.encode``, ``monomial_key``,
 the ``MPoly`` constructor, ``MPoly.from_intpoly`` and
 ``from_q_coefficients``, the coefficient shifts of ``coeff_x``,
-``coeff_aux`` and ``mul_coeff_x``, and every substitution
-(``subst_x_qpower``, ``subst_t_qpowers``, the permutations and the gamma
-shifts, which rebuild through the constructor) raise ValueError for
-anything outside it.  The multiply loops stay unchecked; a kernel's
+``coeff_aux`` and ``mul_coeff_x``, and ``subst_x_qpower``, which
+rebuilds through the constructor, raise ValueError for anything outside
+it.  The multiply loops stay unchecked; a kernel's
 exponents are bounded by its number of factors.
 
 This module owns the packed format: other modules go through exponent
@@ -406,8 +405,8 @@ class MPoly:
 
     # -- substitutions ----------------------------------------------------------
     #
-    # Each rewrite maps decoded exponent vectors and rebuilds through the
-    # checked constructor, which merges equal monomials, drops zero
+    # ``subst_x_qpower`` maps decoded exponent vectors and rebuilds through
+    # the checked constructor, which merges equal monomials, drops zero
     # coefficients and rejects exponents outside the packed range.
 
     def subst_x_qpower(self, alpha) -> "MPoly":
@@ -433,65 +432,6 @@ class MPoly:
             out[(k & _FIELD) - _B] = c
         return IntPoly(out)
 
-    def subst_t_qpowers(self, powers) -> "MPoly":
-        """Substitute t[i,j] -> q^{powers[(i,j)]} for every t variable."""
-        t = self.table
-        if set(powers) != set(t.t_pairs):
-            raise ValueError("powers must cover exactly the t pairs")
-        moves = [(t.t_index(*pair), powers[pair]) for pair in t.t_pairs]
-
-        def rewrite(v):
-            v = list(v)
-            for ix, power in moves:
-                v[0] += power * v[ix]
-                v[ix] = 0
-            return v
-
-        return MPoly(t, ((rewrite(v), c) for v, c in self._vectors()))
-
-    def subst_t_zero(self) -> "MPoly":
-        """Substitute every t[i,j] -> 0 (keep only the t-free part)."""
-        tix = [self.table.t_index(*p) for p in self.table.t_pairs]
-        kept = []
-        for v, c in self._vectors():
-            if any(v[ix] < 0 for ix in tix):
-                raise ValueError("negative t exponent under t -> 0")
-            if not any(v[ix] for ix in tix):
-                kept.append((v, c))
-        return MPoly(self.table, kept)
-
-    def subst_t_perm(self, w) -> "MPoly":
-        """Relabel t[i,j] -> t[w(i),w(j)], inverting when w(i) > w(j).
-
-        This is the t-alphabet action used alongside permuting x and a;
-        reversed pairs pick up inverse variables, i.e. negated exponents.
-        """
-        t = self.table
-        moves = [(t.t_index(i, j), t.t_index(*sorted((w(i), w(j)))),
-                  1 if w(i) < w(j) else -1) for i, j in t.t_pairs]
-
-        def rewrite(v):
-            out = list(v)
-            for ix, _, _ in moves:
-                out[ix] = 0
-            for ix, target, sign in moves:
-                out[target] += sign * v[ix]
-            return out
-
-        return MPoly(t, ((rewrite(v), c) for v, c in self._vectors()))
-
-    def permute_x(self, w) -> "MPoly":
-        """Substitute x_i -> x_{w(i)} (q and auxiliaries untouched)."""
-        n = self.table.nx
-
-        def rewrite(v):
-            out = list(v)
-            for i in range(1, n + 1):
-                out[w(i)] = v[i]
-            return out
-
-        return MPoly(self.table, ((rewrite(v), c) for v, c in self._vectors()))
-
     def collapse_t_single(self) -> IntPoly:
         """Substitute every t[i,j] -> t and read off a univariate polynomial
         (returned as an IntPoly whose variable stands for t).  Only valid
@@ -505,20 +445,6 @@ class MPoly:
             deg = sum(v[k] for k in tix)
             out[deg] = out.get(deg, 0) + c
         return IntPoly(out)
-
-    def gamma_shift(self) -> "MPoly":
-        """The q-shifted cyclic action L(x1,...,xn) -> L(x2,...,xn,x1/q)."""
-        n = self.table.nx
-        return MPoly(self.table, (
-            ((v[0] - v[n], v[n]) + v[1:n] + v[n + 1:], c)
-            for v, c in self._vectors()))
-
-    def gamma_shift_inv(self) -> "MPoly":
-        """Inverse of gamma_shift: L(x1,...,xn) -> L(q*xn,x1,...,xn-1)."""
-        n = self.table.nx
-        return MPoly(self.table, (
-            ((v[0] + v[1],) + v[2:n + 1] + (v[1],) + v[n + 1:], c)
-            for v, c in self._vectors()))
 
     # -- structure checks ---------------------------------------------------------
 
@@ -541,18 +467,6 @@ class MPoly:
 
 
 # -- products of many factors ----------------------------------------------------
-
-def product(factors, table: VarTable) -> MPoly:
-    """Multiply a list of MPoly factors into one accumulator in turn.
-
-    This is the plain route, term by term; a ``Kernel`` reads coefficients
-    of a product without building it.
-    """
-    out = MPoly.one(table)
-    for f in factors:
-        out = out * f
-    return out
-
 
 def schur_letters(lam, letters, table: VarTable) -> MPoly:
     """s_lam of the monomials ``letters`` ({var index: exponent} each),
@@ -672,13 +586,6 @@ def _join(small, large, index, table: VarTable, v, b: int) -> MPoly:
 
 KERNEL_FAMILIES = ("dyson", "t", "tzero", "tau", "tournament", "bg",
                    "bg-alternating")
-
-
-def poch_factor(table: VarTable, i: int, j: int, shift: int, count: int) -> MPoly:
-    """(q^shift * x_i / x_j)_count as an expanded polynomial."""
-    if count < 0:
-        raise ValueError("poch_factor needs count >= 0")
-    return product(_poch_binomials(table, i, j, shift, count), table)
 
 
 def _poch_binomials(table, i, j, shift, count):

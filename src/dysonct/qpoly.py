@@ -437,38 +437,7 @@ class QRat:
         return f"QRat({self})"
 
 
-def one_minus_q(e: int) -> IntPoly:
-    """1 - q^e, which is identically zero when e = 0."""
-    if e == 0:
-        return ZERO
-    return IntPoly({0: 1, e: -1})
-
-
-def q_power_diff(e1: int, e2: int) -> IntPoly:
-    """q^e1 - q^e2 (zero when the exponents coincide)."""
-    if e1 == e2:
-        return ZERO
-    return IntPoly({e1: 1, e2: -1})
-
-
 # -- q-factorial primitives --------------------------------------------------
-
-def qpoch(m: int, k: int) -> IntPoly:
-    """The q-shifted factorial (q^m)_k = prod_{i=0}^{k-1} (1 - q^(m+i))."""
-    if k < 0:
-        raise ValueError("qpoch needs k >= 0")
-    out = ONE
-    for i in range(k):
-        if m + i == 0:
-            return ZERO  # factor 1 - q^0
-        out = out * IntPoly({0: 1, m + i: -1})
-    return out
-
-
-def qbinom(n: int, m: int) -> IntPoly:
-    """Gaussian binomial coefficient; 0 outside the range 0 <= m <= n."""
-    return Cyclo.qbinom(n, m).expand()
-
 
 def qmultinom(a) -> IntPoly:
     """q-multinomial coefficient of a composition (see Cyclo.qmultinom)."""

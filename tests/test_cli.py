@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -9,7 +10,9 @@ import pytest
 import dysonct.cli as cli
 import dysonct.identities as identities
 from dysonct.cli import RunConfig, main, run
+from dysonct.mpoly import tkernel
 from dysonct.qpoly import IntPoly
+from reference import subst_t_qpowers, subst_t_zero
 
 
 def _register(monkeypatch, name, cases, checker):
@@ -450,15 +453,39 @@ class TestCtCommand:
         assert capsys.readouterr().out.strip() == "0"
 
     def test_tkernel_symbolic(self, capsys):
-        code = main(["ct", "tkernel", "--a", "1,1", "--v", "0,0"])
+        code = main(["ct", "t", "--a", "1,1", "--v", "0,0"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "1 + t[1,2]"
 
     def test_tkernel_qa_matches_dyson(self, capsys):
-        main(["ct", "tkernel", "--a", "2,1", "--v", "0,0", "--t-mode", "qa"])
-        got = capsys.readouterr().out.strip()
-        main(["ct", "dyson", "--a", "2,1", "--v", "0,0"])
-        assert capsys.readouterr().out.strip() == got
+        # ct dyson and ct tzero are ct t at t[i,j] = q^{a_j} and at t = 0
+        cases = 0
+        for n in (1, 2, 3):
+            for a in itertools.product((1, 2), repeat=n):
+                powers = {(i, j): a[j - 1] for i in range(1, n)
+                          for j in range(i + 1, n + 1)}
+                for v in itertools.product((-1, 0, 1), repeat=n):
+                    if sum(v):
+                        continue
+                    args = ["--a=" + ",".join(map(str, a)),
+                            "--v=" + ",".join(map(str, v))]
+                    texts = {}
+                    for family in ("t", "dyson", "tzero"):
+                        assert main(["ct", family] + args) == 0
+                        texts[family] = capsys.readouterr().out
+                    coeff = tkernel(a).coeff_x(v)
+                    assert texts["t"] == f"{coeff}\n"
+                    assert texts["dyson"] == f"{subst_t_qpowers(coeff, powers)}\n"
+                    assert texts["tzero"] == f"{subst_t_zero(coeff)}\n"
+                    cases += 1
+        assert cases == 2 + 4 * 3 + 8 * 7
+
+    def test_dyson_accepts_a_zero_part(self, capsys):
+        assert main(["ct", "dyson", "--a", "0,1", "--v", "0,0"]) == 0
+        assert capsys.readouterr().out == "1\n"
+        for family in ("t", "tzero", "bg-alternating"):
+            assert main(["ct", family, "--a", "0,1", "--v", "0,0"]) == 2
+            assert "positive a" in capsys.readouterr().err
 
     def test_exponent_outside_packed_range(self, capsys):
         code = main(["ct", "dyson", "--a", "1,1", "--v", "4294967296,-1"])
@@ -467,22 +494,10 @@ class TestCtCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
-    def test_t_mode_rejected_outside_tkernel(self, capsys):
-        for kernel, extra in [("dyson", []), ("alternating", []),
-                              ("tournament", ["--edges", "1>2"])]:
-            for mode in ("symbolic", "qa", "zero"):
-                code = main(["ct", kernel, "--a", "1,1", "--v", "0,0",
-                             "--t-mode", mode] + extra)
-                captured = capsys.readouterr()
-                assert code == 2
-                assert captured.out == ""
-                assert "--t-mode" in captured.err
-
     def test_edges_rejected_outside_tournament(self, capsys):
-        for kernel, extra in [("dyson", []), ("alternating", []),
-                              ("tkernel", []), ("tkernel", ["--t-mode", "qa"])]:
+        for kernel in ("dyson", "t", "tzero", "bg-alternating"):
             code = main(["ct", kernel, "--a", "1,1", "--v", "0,0",
-                         "--edges", "1>2"] + extra)
+                         "--edges", "1>2"])
             captured = capsys.readouterr()
             assert code == 2
             assert captured.out == ""

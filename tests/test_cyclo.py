@@ -19,7 +19,7 @@ from dysonct.combi import (
 from dysonct.identities import (
     _near_ct_basis, _near_ct_expanded, c_w, cyclic_interval,
     rhs_bg_alternating, rhs_bg_general, rhs_kadell, rhs_kadell_t, rhs_lxz,
-    rhs_sills, rhs_strict, t_monomial, w_sigma,
+    rhs_sills, rhs_strict, w_sigma,
 )
 from dysonct.interp import (
     closed_eval, dyson_coeff_interpolated, dyson_grid, eval_factored,
@@ -28,9 +28,10 @@ from dysonct.interp import (
 from dysonct.mpoly import MPoly, table_kernel
 from dysonct.qpoly import (
     ONE, Cyclo, CycloBasis, IntPoly, NonExactDivision, QRat, cyclotomic,
-    one_minus_q, q_power_diff, qbinom, qmultinom, qpoch,
+    qmultinom,
 )
 from dysonct.symfun import hook_content
+from reference import one_minus_q, q_power_diff, qbinom, qpoch, t_monomial
 
 
 def cyclo_sum(terms):

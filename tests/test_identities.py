@@ -5,26 +5,28 @@ import pytest
 
 from dysonct.combi import (
     Permutation, Tournament, ZeroOneMatrix, all_compositions,
-    all_tournaments, all_zero_one_matrices, conjugate, is_partition,
+    all_zero_one_matrices, conjugate, is_partition,
     left_justified_from_rows, partial_sums, sort_desc, staircase,
 )
 from dysonct.identities import (
-    D_vlambda, _c_weights, _poincare_sum, _render, c_w, contributing_perms,
-    lemma_sym_check, rhs_poincare_qdyson,
-    poincare_W, poincare_single_product, reduction_check, rhs_bg_alternating,
+    D_vlambda, _c_weights, _poincare_sum, _render, c_w, rhs_poincare_qdyson,
+    poincare_W, poincare_single_product, rhs_bg_alternating,
     rhs_bg_general, rhs_kadell, rhs_kadell_t, rhs_lxz,
     rhs_qdyson, rhs_sills, rhs_strict, rhs_tournament, solve_column_relation,
-    t_monomial, usum_cleared_sides, usum_k_cleared_sides, verify_bg_general,
+    usum_cleared_sides, usum_k_cleared_sides, verify_bg_general,
     verify_kadell, verify_kadell_t, verify_lxz, verify_poincare,
     verify_poincare_equal, verify_prop_kappa, verify_prop_vnu,
     verify_prop_zero, verify_q_dyson, verify_scalar_kkhat,
     verify_schur_monomial, verify_sills, verify_strict, verify_tournament,
     verify_usum, verify_usum_k, verify_wtd, w_sigma,
 )
-from dysonct.mpoly import (
-    MPoly, bg_kernel, product, table_kernel, table_u, tkernel,
+from dysonct.mpoly import MPoly, bg_kernel, table_kernel, table_u, tkernel
+from dysonct.qpoly import Cyclo, IntPoly, qmultinom
+from reference import (
+    all_tournaments, contributing_perms, lemma_sym_check, longest,
+    natural_tournament, product, qbinom, reduction_check, subst_t_qpowers,
+    subst_t_zero, t_monomial,
 )
-from dysonct.qpoly import Cyclo, IntPoly, qbinom, qmultinom
 
 
 def holds(sides):
@@ -81,7 +83,7 @@ class TestPoincare:
         # substituting t = 0 into the expansion leaves prod qbinom(s_i-1, a_i-1)
         for a in [(1, 1), (2, 1, 2)]:
             table = table_kernel(len(a))
-            ct = tkernel(a, table).ct_x().subst_t_zero()
+            ct = subst_t_zero(tkernel(a, table).ct_x())
             expected = c_w(a, Permutation.identity(len(a)))
             assert ct.to_intpoly() == expected
 
@@ -232,7 +234,7 @@ class TestTournaments:
         assert holds(verify_tournament((1, 1, 1), t.serialize()))
 
     def test_natural_order(self):
-        t = Tournament.natural(3)
+        t = natural_tournament(3)
         a = (2, 1, 1)
         assert rhs_tournament(t, a) == c_w(a, Permutation.identity(3))
 
@@ -314,7 +316,7 @@ class TestKadell:
             for k in range(1, n + 1):
                 for m in (1, 2):
                     v = (0,) * (k - 1) + (m,) + (0,) * (n - k)
-                    sym = rhs_kadell_t(k, m, a).subst_t_qpowers(powers)
+                    sym = subst_t_qpowers(rhs_kadell_t(k, m, a), powers)
                     assert sym.to_intpoly() == rhs_kadell(v, a)
 
     def test_kadell_t_matches_per_a_product(self):
@@ -349,7 +351,7 @@ class TestKadell:
             powers = {(i, j): a[j - 1] for i in range(1, n)
                       for j in range(i + 1, n + 1)}
             for v in all_compositions(2, n):
-                sym = D_vlambda(v, (2,), a, "t").subst_t_qpowers(powers)
+                sym = subst_t_qpowers(D_vlambda(v, (2,), a, "t"), powers)
                 assert sym.to_intpoly() == D_vlambda(v, (2,), a, "dyson").to_intpoly()
 
     def test_kadell_t_k_above_n_names_k(self):
@@ -373,7 +375,7 @@ class TestStrict:
 
     def test_longest_element_matches_strict_formula(self):
         lam, a = (2, 0), (2, 1)
-        w0 = Permutation.longest(2)
+        w0 = longest(2)
         assert holds(verify_strict(lam, a, w0.serialize()))
         # the explicit product of the longest-element case
         lam_t, a_t = lam, a
@@ -510,21 +512,27 @@ def _solve_column_relation_reference(kappa, m):
 class TestMatrixPropositions:
     def test_solve_column_relation(self):
         kappa = left_justified_from_rows((1, 0), 2)
-        sols = solve_column_relation(kappa, 2)
+        sols = solve_column_relation(kappa)
         assert ((1,), Permutation.identity(2)) in sols
+
+    def test_solve_column_relation_reads_m_off_kappa(self):
+        # c(kappa) + delta_2 = (2, 1) for both columns of 10/01, not the
+        # first column alone: lam = (2) and w = 12
+        kappa = ZeroOneMatrix.parse("10/01")
+        assert solve_column_relation(kappa) == [((2,), Permutation((1, 2)))]
 
     def test_prop_kappa_instances(self):
         for a in itertools.product((1, 2), repeat=2):
             for kappa in [left_justified_from_rows((1, 0), 2),
                           left_justified_from_rows((2, 1), 2),
                           ZeroOneMatrix(((0, 1), (1, 0)))]:
-                for lam, w in solve_column_relation(kappa, 2):
+                for lam, w in solve_column_relation(kappa):
                     assert holds(verify_prop_kappa(kappa.serialize(), lam, w.serialize(), a))
 
     def test_prop_zero_non_left_justified(self):
         kappa = ZeroOneMatrix(((0, 1), (1, 0)))
         assert not kappa.is_left_justified()
-        for lam, w in solve_column_relation(kappa, 2):
+        for lam, w in solve_column_relation(kappa):
             assert holds(verify_prop_zero(kappa.serialize(), lam, (1, 1)))
 
     def test_prop_zero_rejects_lambda_with_a_leading_zero(self):
@@ -548,7 +556,7 @@ class TestMatrixPropositions:
                 if n * m > 9:
                     continue
                 for kappa in all_zero_one_matrices(n, m):
-                    assert (solve_column_relation(kappa, m)
+                    assert (solve_column_relation(kappa)
                             == _solve_column_relation_reference(kappa, m)), kappa
 
     def test_prop_vnu_cases_solve_the_column_relation(self):
@@ -559,7 +567,7 @@ class TestMatrixPropositions:
                 for v in itertools.product(range(m + 1), repeat=n):
                     kappa = left_justified_from_rows(v, m)
                     lam = tuple(x for x in sort_desc(v) if x)
-                    assert solve_column_relation(kappa, m) == [
+                    assert solve_column_relation(kappa) == [
                         (lam, Permutation.identity(m))]
                     count += 1
         assert count == 1274
@@ -572,7 +580,7 @@ class TestMatrixPropositions:
             with pytest.raises(ValueError, match="do not solve"):
                 verify_prop_kappa("10/01", lam, w, [1, 1])
         # repeated entries in c(kappa) + delta_m: no pair solves it
-        assert solve_column_relation(ZeroOneMatrix.parse("01/00"), 2) == []
+        assert solve_column_relation(ZeroOneMatrix.parse("01/00")) == []
         for w in ("1,2", "2,1"):
             with pytest.raises(ValueError, match="do not solve"):
                 verify_prop_kappa("01/00", [1], w, [1, 1])
@@ -593,7 +601,7 @@ class TestMatrixPropositions:
     def test_kadell_null_derivation_instance(self):
         # c(kappa) = (1,1), r(kappa) = (1,1): max v < m forces zero
         kappa = ZeroOneMatrix(((1, 0), (0, 1)))
-        sols = solve_column_relation(kappa, 2)
+        sols = solve_column_relation(kappa)
         assert (((2,), Permutation.identity(2)) in sols)
         assert not kappa.is_left_justified()
         assert holds(verify_prop_zero(kappa.serialize(), (2,), (1, 1)))

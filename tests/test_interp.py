@@ -6,20 +6,20 @@ import pytest
 import dysonct.identities as identities
 import dysonct.interp as interp
 from dysonct.cli import RunConfig, run
-from dysonct.combi import (
-    Permutation, all_pairs, all_pairsets, ell_stats, pairset_to_perm,
-)
+from dysonct.combi import Permutation, all_pairs, all_pairsets, ell_stats
 from dysonct.identities import c_w, rhs_sills, sills_lhs
 from dysonct.interp import (
-    Grid, closed_eval, default_grid, dyson_coeff_interpolated,
-    dyson_grid, eval_factored, fs_degree_profile, fs_factors, fs_polynomial,
-    generic_coeff, scan_survivors, sills_coeff_interpolated, sills_factors,
-    sills_grid,
+    Grid, closed_eval, dyson_coeff_interpolated, dyson_grid, eval_factored,
+    fs_factors, generic_coeff, scan_survivors, sills_coeff_interpolated,
+    sills_factors, sills_grid,
 )
 from dysonct.mpoly import (
-    MPoly, dyson_kernel, product, table_kernel, table_x, tkernel, tzero_kernel,
+    MPoly, dyson_kernel, table_kernel, table_x, tkernel, tzero_kernel,
 )
 from dysonct.qpoly import IntPoly
+from reference import (
+    default_grid, fs_degree_profile, fs_polynomial, pairset_to_perm, product,
+)
 
 
 class TestGenericCoeff:
@@ -217,13 +217,20 @@ class TestSillsGrid:
         # readmitting the cut point of B_r lets the cyclically shifted
         # point (pi = (2,3,...,n,1)) survive as well
         a = (1, 1, 1)
-        grid = sills_grid(a, 3, keep_excluded=True)
+        grid = _readmitting(sills_grid(a, 3), a, 3)
         sign, factors = sills_factors(a)
         survivors = scan_survivors(sign, factors, grid)
         assert survivors == [(0, 1, 2), (3, 0, 1)]
         # with the exclusion only the identity-ordered point remains
         grid = sills_grid(a, 3)
         assert scan_survivors(sign, factors, grid) == [(0, 1, 2)]
+
+
+def _readmitting(grid, a, r):
+    """``grid`` with the cut point a_2 + ... + a_{r-1} back in B_r."""
+    points = list(grid.points)
+    points[r - 1] = tuple(sorted(points[r - 1] + (sum(a[1:r - 1]),)))
+    return Grid(tuple(points))
 
 
 def _scan_every_point(sign, factors, grid):
@@ -277,9 +284,9 @@ class TestPrunedScan:
                 for a in itertools.product((0, 1, 2), repeat=n):
                     if any(x < 1 for i, x in enumerate(a, 1) if i != r):
                         continue
-                    for keep in (False, True):
-                        grid = sills_grid(a, r, keep_excluded=keep)
-                        _check_scan(*sills_factors(a), grid, confirmed)
+                    grid = sills_grid(a, r)
+                    for g in (grid, _readmitting(grid, a, r)):
+                        _check_scan(*sills_factors(a), g, confirmed)
 
     def test_unsorted_grid_keeps_product_order(self, confirmed):
         grid = Grid(((5, 2, 0), (3, 0, 6, 1)))

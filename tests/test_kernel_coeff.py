@@ -3,7 +3,7 @@
 A ``Kernel`` folds two halves of a factor list into q-packed polynomials
 (each coefficient polynomial in q held as one integer) and joins them on
 the x-block.  The reference here multiplies every factor out term by term
-with ``product`` and then extracts with ``coeff_x``.
+with ``reference.product`` and then extracts with ``coeff_x``.
 """
 
 import itertools
@@ -11,13 +11,14 @@ import random
 
 import pytest
 
-from dysonct.combi import all_tournaments, all_zero_one_matrices
+from dysonct.combi import all_zero_one_matrices
 from dysonct.identities import tau_kappa_coeff
 from dysonct.mpoly import (
     KERNEL_FAMILIES, Kernel, MPoly, VarTable, kernel_factors, mul_coeff_x,
-    product, table_kernel, table_tau, table_x, tau_kernel, tkernel,
+    table_kernel, table_tau, table_x, tau_kernel, tkernel,
 )
 from dysonct.symfun import schur_principal
+from reference import all_tournaments, product
 
 
 def kernel_coeff(factors, table, v=None):
