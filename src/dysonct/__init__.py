@@ -16,7 +16,7 @@ references and fixture builders that only the tests use live in
 ``tests/reference.py``.
 """
 
-from .qpoly import IntPoly, QRat, qmultinom
+from .qpoly import IntPoly, QRat
 from .mpoly import (
     Kernel, MPoly, VarTable, bg_alternating_kernel, bg_kernel, dyson_kernel,
     kernel_factors, table_kernel, table_tau, table_x, tau_kernel,

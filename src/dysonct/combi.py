@@ -177,6 +177,8 @@ def ell_stats(S, n: int):
     ell_i = (n - i) + d_i - e_i, and K is the largest k such that each of
     0, ..., k-1 occurs exactly once among the ell_i.
     """
+    if len(set(S)) != len(S):
+        raise ValueError(f"repeated pair in {sorted(S)}")
     d = [0] * (n + 1)
     e = [0] * (n + 1)
     for i, j in S:
@@ -186,9 +188,7 @@ def ell_stats(S, n: int):
         e[i] += 1
     ell = tuple((n - i) + d[i] - e[i] for i in range(1, n + 1))
     counts = [0] * (n + 1)
-    for v in ell:
-        if not 0 <= v <= n - 1:
-            raise AssertionError(f"ell out of range for S={sorted(S)}")
+    for v in ell:  # distinct pairs: d_i <= i - 1, e_i <= n - i, so 0 <= v < n
         counts[v] += 1
     K = 0
     while K < n and counts[K] == 1:
@@ -295,9 +295,6 @@ class ZeroOneMatrix:
     def col_sums(self) -> tuple:
         n, m = self.shape
         return tuple(sum(self.rows[i][j] for i in range(n)) for j in range(m))
-
-    def total(self) -> int:
-        return sum(self.row_sums())
 
     def is_left_justified(self) -> bool:
         """In every row all ones precede all zeros."""

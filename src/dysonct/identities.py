@@ -49,7 +49,7 @@ from .mpoly import (
     kernel_factors, table_kernel, table_u, table_x, tau_kernel,
     tkernel, tournament_kernel, tzero_kernel,
 )
-from .qpoly import Cyclo, CycloBasis, IntPoly, qmultinom, render_monomial
+from .qpoly import Cyclo, CycloBasis, IntPoly, render_monomial
 from .symfun import (
     hook_content, key_poly, keyhat_poly, scalar_product, schur_onevar_value,
     schur_principal,
@@ -102,7 +102,7 @@ def _poincare_sum(table: VarTable, perms, weight) -> MPoly:
 # -- closed forms ---------------------------------------------------------------
 
 def rhs_qdyson(a) -> IntPoly:
-    return qmultinom(a)
+    return Cyclo.qmultinom(a).expand()
 
 
 def c_w(a, w: Permutation) -> IntPoly:
@@ -146,22 +146,20 @@ def _c_weights(a):
     return weight
 
 
-def rhs_poincare_qdyson(a, table: VarTable | None = None) -> MPoly:
-    """sum_w c_w(a) t_{R(w)}."""
+def rhs_poincare_qdyson(a) -> MPoly:
+    """sum_w c_w(a) t_{R(w)}, on ``table_kernel``."""
     a = tuple(a)
-    if table is None:
-        table = table_kernel(len(a))
     weights = _c_weights(a)
-    return _poincare_sum(table, Permutation.all_perms(len(a)),
+    return _poincare_sum(table_kernel(len(a)), Permutation.all_perms(len(a)),
                          lambda w: weights(w).expand())
 
 
-def poincare_W(n: int, table: VarTable | None = None) -> MPoly:
-    """The multivariable Poincare polynomial sum_w t_{R(w)}."""
-    if table is None:
-        table = table_kernel(n)
+def poincare_W(n: int) -> MPoly:
+    """The multivariable Poincare polynomial sum_w t_{R(w)}, on
+    ``table_kernel``."""
     one = IntPoly.const(1)
-    return _poincare_sum(table, Permutation.all_perms(n), lambda w: one)
+    return _poincare_sum(table_kernel(n), Permutation.all_perms(n),
+                         lambda w: one)
 
 
 def poincare_single_product(n: int) -> IntPoly:
@@ -206,13 +204,12 @@ def rhs_tournament(t: Tournament, a) -> IntPoly:
 
 # -- Kadell-type coefficients ------------------------------------------------------
 
-def D_vlambda(v, lam, a, family: str,
-              table: VarTable | None = None) -> MPoly:
+def D_vlambda(v, lam, a, family: str) -> MPoly:
     """Brute-force CT[ x^{-v} s_lambda(x^(a)) kernel ].
 
     ``family`` names the kernel as ``kernel_factors`` does: "t" keeps the
-    t variables (by default on ``table_kernel``) and "dyson" is the plain
-    product, the t kernel at t[i,j] = q^{a_j} (by default on ``table_x``).
+    t variables (on ``table_kernel``) and "dyson" is the plain product,
+    the t kernel at t[i,j] = q^{a_j} (on ``table_x``).
     """
     v = tuple(v)
     a = tuple(a)
@@ -221,14 +218,10 @@ def D_vlambda(v, lam, a, family: str,
         raise ValueError("v and a must share a length")
     if family not in ("dyson", "t"):
         raise ValueError(f"D_vlambda reads the dyson or t kernel, not {family!r}")
-    if table is None:
-        table = (table_x if family == "dyson" else table_kernel)(n)
+    table = (table_x if family == "dyson" else table_kernel)(n)
     # the Schur factor is one more factor, so the full kernel is never built
-    out = Kernel(kernel_factors(family, a, table)
-                 + [schur_principal(lam, a, table)], table).coeff_x(v)
-    if weight(v) != sum(lam) and not out.is_zero:
-        raise AssertionError("homogeneity violated: nonzero CT at |v| != |la|")
-    return out
+    return Kernel(kernel_factors(family, a, table)
+                  + [schur_principal(lam, a, table)], table).coeff_x(v)
 
 
 def rhs_kadell(v, a) -> IntPoly:
@@ -254,7 +247,7 @@ def rhs_kadell(v, a) -> IntPoly:
     return (num / den).shifted(sigma[-1] - sigma[k - 1]).expand()
 
 
-def rhs_kadell_t(k: int, m: int, a, table: VarTable | None = None) -> MPoly:
+def rhs_kadell_t(k: int, m: int, a) -> MPoly:
     """The symbolic-t closed form for v = (0^{k-1}, m, 0^{n-k}):
 
         (q^{|a|})_m / (q^{|a|-a_k+1})_m * sum over w with w(n) = k of c_w t_{R(w)}.
@@ -271,12 +264,11 @@ def rhs_kadell_t(k: int, m: int, a, table: VarTable | None = None) -> MPoly:
         raise ValueError("rhs_kadell_t needs m >= 1")
     if not 1 <= k <= n:
         raise ValueError("k out of range")
-    if table is None:
-        table = table_kernel(n)
     total = sum(a)
     ratio = Cyclo.qpoch(total, m) / Cyclo.qpoch(total - a[k - 1] + 1, m)
     weights = _c_weights(a)
-    return _poincare_sum(table, (w for w in Permutation.all_perms(n) if w(n) == k),
+    return _poincare_sum(table_kernel(n),
+                         (w for w in Permutation.all_perms(n) if w(n) == k),
                          lambda w: (ratio * weights(w)).expand())
 
 
@@ -566,8 +558,8 @@ def verify_poincare(a):
     including the vanishing of every t_S coefficient with K(S) < n."""
     a = tuple(a)
     n = len(a)
-    table = table_kernel(n)
-    lhs = tkernel(a, table).ct_x()
+    lhs = tkernel(a).ct_x()
+    table = lhs.table
     coeffs = lhs.t_coefficients()
     lhs_str = report = _t_report(lhs, coeffs)
     # independent support check: only recording sets may appear
@@ -575,17 +567,16 @@ def verify_poincare(a):
         S = frozenset(p for p, e in zip(table.t_pairs, texp) if e)
         if ell_stats(S, n)[3] != n:
             lhs_str += f" [nonzero at K<{n}: {sorted(S)}]"
-    rhs = rhs_poincare_qdyson(a, table)
+    rhs = rhs_poincare_qdyson(a)
     return lhs_str, (report if lhs == rhs else _t_report(rhs))
 
 
 def verify_poincare_equal(n: int, k: int):
-    table = table_kernel(n)
-    lhs = tkernel((k,) * n, table).ct_x()
+    lhs = tkernel((k,) * n).ct_x()
     scale = Cyclo()
     for i in range(1, n):
         scale = scale * Cyclo.qbinom((i + 1) * k - 1, k - 1)
-    return _render(lhs, poincare_W(n, table) * scale.expand())
+    return _render(lhs, poincare_W(n) * scale.expand())
 
 
 def verify_wtd(n: int):
@@ -625,9 +616,8 @@ def verify_kadell_t(k: int, m: int, a):
     if not 1 <= k <= n:
         raise ValueError(f"k = {k} is out of range 1..{n}")
     v = (0,) * (k - 1) + (m,) + (0,) * (n - k)
-    table = table_kernel(n)
-    return _render(D_vlambda(v, (m,), a, "t", table),
-                   rhs_kadell_t(k, m, a, table), _t_report)
+    return _render(D_vlambda(v, (m,), a, "t"), rhs_kadell_t(k, m, a),
+                   _t_report)
 
 
 def verify_strict(lam, a, w: str):
@@ -678,7 +668,7 @@ def verify_interp_dyson(a, S):
     a = tuple(a)
     S = frozenset(map(tuple, S))
     n = len(a)
-    value, _, _ = dyson_coeff_interpolated(a, S)
+    value = dyson_coeff_interpolated(a, S)
     d_in, e_out, _, K = ell_stats(S, n)
     v = tuple(e - d for e, d in zip(e_out, d_in))
     brute = (cached_kernel(tzero_kernel, a).coeff_x(v).to_intpoly()
@@ -696,15 +686,15 @@ def verify_interp_closed(a, w: str):
 
 def verify_interp_sills(a, r: int):
     a = tuple(a)
-    value, _ = sills_coeff_interpolated(a, r)
-    return _render(value, rhs_sills(a, r, 1))
+    return _render(sills_coeff_interpolated(a, r), rhs_sills(a, r, 1))
 
 
 def verify_scalar_kkhat(v, w):
     """<K_v, K^hat_w> is 1 when v is w reversed, else 0."""
     v, w = tuple(v), tuple(w)
-    t = table_x(len(v))
-    got = scalar_product(key_poly(v, t), keyhat_poly(w, t))
+    if len(v) != len(w):
+        raise ValueError("v and w must share a length")
+    got = scalar_product(key_poly(v), keyhat_poly(w))
     return _render(got, IntPoly.const(1 if v == reverse(w) else 0))
 
 

@@ -200,10 +200,8 @@ class MPoly:
         return cls._make(table, {table.off: 1})
 
     @classmethod
-    def monomial(cls, table, exps: dict, coeff: int = 1) -> "MPoly":
-        if not coeff:
-            return cls.zero(table)
-        return cls._make(table, {table.monomial_key(exps): coeff})
+    def monomial(cls, table, exps: dict) -> "MPoly":
+        return cls._make(table, {table.monomial_key(exps): 1})
 
     @classmethod
     def from_intpoly(cls, table, p: IntPoly) -> "MPoly":
@@ -251,9 +249,6 @@ class MPoly:
     def terms(self):
         """(exponent vector, coefficient) pairs in graded-lex order."""
         return sorted(self._vectors(), key=lambda vc: (sum(vc[0]), vc[0]))
-
-    def coeff(self, vec) -> int:
-        return self._terms.get(self.table.encode(vec), 0)
 
     def t_coefficients(self) -> dict:
         """Split a polynomial in q and t into {t-exponent tuple: IntPoly in
@@ -723,46 +718,49 @@ class Kernel:
         return small * large
 
 
-def dyson_kernel(a, table: VarTable | None = None) -> Kernel:
+# The named builders each pick their table: ``table_kernel`` for tkernel,
+# ``table_tau`` for tau_kernel and ``table_x`` for the rest.
+
+def dyson_kernel(a) -> Kernel:
     """prod_{i<j} (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j}; a_i >= 0."""
-    table = table_x(len(a)) if table is None else table
+    table = table_x(len(a))
     return Kernel(kernel_factors("dyson", a, table), table)
 
 
-def tkernel(a, table: VarTable | None = None) -> Kernel:
+def tkernel(a) -> Kernel:
     """prod_{i<j} (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j - 1} (1 - t[i,j] x_j/x_i)."""
-    table = table_kernel(len(a)) if table is None else table
+    table = table_kernel(len(a))
     return Kernel(kernel_factors("t", a, table), table)
 
 
-def tzero_kernel(a, table: VarTable | None = None) -> Kernel:
+def tzero_kernel(a) -> Kernel:
     """prod_{i<j} (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j - 1}: the t -> 0 kernel."""
-    table = table_x(len(a)) if table is None else table
+    table = table_x(len(a))
     return Kernel(kernel_factors("tzero", a, table), table)
 
 
-def tau_kernel(a, m: int, table: VarTable | None = None) -> Kernel:
+def tau_kernel(a, m: int) -> Kernel:
     """The (n+m)-variable kernel for the sequence (a, 1^m) whose t's vanish
     beyond the first n indices (see ``kernel_factors``).  It carries no s
     variables: ``identities.tau_kappa_coeff`` reads each s-coefficient as
     an x-shift."""
-    table = table_tau(len(a), m) if table is None else table
+    table = table_tau(len(a), m)
     return Kernel(kernel_factors("tau", a, table, m=m), table)
 
 
-def tournament_kernel(t, a, table: VarTable | None = None) -> Kernel:
+def tournament_kernel(t, a) -> Kernel:
     """prod over directed edges (i, j) of (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j-1}."""
-    table = table_x(len(a)) if table is None else table
+    table = table_x(len(a))
     return Kernel(kernel_factors("tournament", a, table, tournament=t), table)
 
 
-def bg_kernel(a, index_set, table: VarTable | None = None) -> Kernel:
+def bg_kernel(a, index_set) -> Kernel:
     """prod_{i<j} (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j - chi(j in I)}."""
-    table = table_x(len(a)) if table is None else table
+    table = table_x(len(a))
     return Kernel(kernel_factors("bg", a, table, index_set=set(index_set)), table)
 
 
-def bg_alternating_kernel(a, table: VarTable | None = None) -> Kernel:
+def bg_alternating_kernel(a) -> Kernel:
     """prod_{i<j} (x_j/x_i - x_i/x_j) * prod_{i != j} (q x_i/x_j)_{a_i - 1}."""
-    table = table_x(len(a)) if table is None else table
+    table = table_x(len(a))
     return Kernel(kernel_factors("bg-alternating", a, table), table)

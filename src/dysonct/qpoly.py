@@ -437,13 +437,6 @@ class QRat:
         return f"QRat({self})"
 
 
-# -- q-factorial primitives --------------------------------------------------
-
-def qmultinom(a) -> IntPoly:
-    """q-multinomial coefficient of a composition (see Cyclo.qmultinom)."""
-    return Cyclo.qmultinom(a).expand()
-
-
 # -- cyclotomic products -------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)

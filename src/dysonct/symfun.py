@@ -14,7 +14,7 @@ from .mpoly import Kernel, MPoly, VarTable, schur_letters, table_x
 from .qpoly import Cyclo, IntPoly
 
 
-def schur_principal(lam, a, table: VarTable | None = None) -> MPoly:
+def schur_principal(lam, a, table: VarTable) -> MPoly:
     """s_lambda(x^(a)): ``schur_letters`` over the letters q^k x_i with
     0 <= k < a_i.  Raises ValueError unless lambda is a partition (up to
     trailing zeros), a >= 0, and a fits the table's x-block."""
@@ -26,9 +26,7 @@ def schur_principal(lam, a, table: VarTable | None = None) -> MPoly:
     a = tuple(a)
     if any(m < 0 for m in a):
         raise ValueError("multiplicities must be nonnegative")
-    if table is None:
-        table = table_x(len(a))
-    elif len(a) > table.nx:
+    if len(a) > table.nx:
         raise ValueError("alphabet does not fit the table's x block")
     letters = [{0: k, table.x_index(i): 1}
                for i, m in enumerate(a, start=1) for k in range(m)]
@@ -108,24 +106,21 @@ def _sorting_word(v):
     return tuple(u), word
 
 
-def key_poly(v, table: VarTable | None = None) -> MPoly:
-    """Key polynomial (Demazure character) K_v."""
-    return _key(v, table, isobaric_pi)
+def key_poly(v) -> MPoly:
+    """Key polynomial (Demazure character) K_v, on ``table_x(len(v))``."""
+    return _key(v, isobaric_pi)
 
 
-def keyhat_poly(v, table: VarTable | None = None) -> MPoly:
-    """Opposite key polynomial K^hat_v."""
-    return _key(v, table, isobaric_pihat)
+def keyhat_poly(v) -> MPoly:
+    """Opposite key polynomial K^hat_v, on ``table_x(len(v))``."""
+    return _key(v, isobaric_pihat)
 
 
-def _key(v, table, op):
+def _key(v, op):
     v = tuple(v)
     if any(e < 0 for e in v):
         raise ValueError("key polynomials need a composition")
-    if table is None:
-        table = table_x(len(v))
-    elif len(v) != table.nx:
-        raise ValueError(f"{len(v)} parts for {table.nx} x-variables")
+    table = table_x(len(v))
     dominant, word = _sorting_word(v)
     f = MPoly.monomial(table, {table.x_index(i + 1): e
                                for i, e in enumerate(dominant) if e})

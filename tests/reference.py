@@ -12,8 +12,8 @@ range-checks every exponent.
 
 from dysonct.combi import Permutation, Tournament, all_pairsets, ell_stats
 from dysonct.identities import D_vlambda
-from dysonct.interp import Grid, fs_factors
-from dysonct.mpoly import MPoly, table_kernel, table_x
+from dysonct.interp import Grid, dyson_grid, fs_factors
+from dysonct.mpoly import MPoly, table_x
 from dysonct.qpoly import ONE, ZERO, IntPoly
 
 
@@ -144,6 +144,28 @@ def default_grid(d) -> Grid:
     return Grid(tuple(tuple(range(di + 1)) for di in d))
 
 
+def sampled_dyson_grid(a, S, rng) -> Grid:
+    """``interp.dyson_grid(a, S)`` with each free choice drawn by ``rng``:
+    for i off the tau chain, B_i is any |a| - a_i - ell_i + 1 exponents in
+    0..|a| - a_i that avoid the K + 1 points |a| - a_i - a_{tau(1..k)},
+    0 <= k <= K.  The chain sets have no free choice and are kept."""
+    a = tuple(a)
+    n = len(a)
+    grid, _ = dyson_grid(a, S)
+    _, _, ell, K = ell_stats(S, n)
+    tau = [ell.index(k) + 1 for k in range(K)]
+    chain_sums = [sum(a[j - 1] for j in tau[:k]) for k in range(K + 1)]
+    points = list(grid.points)
+    for i in range(1, n + 1):
+        if i in tau:
+            continue
+        top = sum(a) - a[i - 1]
+        excluded = {top - c for c in chain_sums}
+        pool = [b for b in range(top + 1) if b not in excluded]
+        points[i - 1] = tuple(sorted(rng.sample(pool, top - ell[i - 1] + 1)))
+    return Grid(tuple(points))
+
+
 def fs_polynomial(a, S, table=None) -> MPoly:
     """F_S of ``interp.fs_factors`` fully expanded."""
     a = tuple(a)
@@ -202,10 +224,10 @@ def all_tournaments(n: int):
 
 def lemma_sym_check(v, lam, a, w: Permutation) -> bool:
     """D_{v,lam}(a; t) = t_{R(w)} * D_{w(v),lam}(w(a); w(t)), all symbolic."""
-    table = table_kernel(len(a))
-    lhs = D_vlambda(v, lam, a, "t", table)
-    inner = D_vlambda(w.act(v), lam, w.act(a), "t", table)
-    return lhs == subst_t_perm(inner, w) * t_monomial(table, w.recording_set())
+    lhs = D_vlambda(v, lam, a, "t")
+    inner = D_vlambda(w.act(v), lam, w.act(a), "t")
+    return lhs == subst_t_perm(inner, w) * t_monomial(lhs.table,
+                                                      w.recording_set())
 
 
 def reduction_check(v, a, m: int) -> bool:
@@ -223,6 +245,36 @@ def reduction_check(v, a, m: int) -> bool:
     sub_a = tuple(a[i] for i in keep)
     rhs = D_vlambda(sub_v, (m,), sub_a, "dyson")
     return lhs.to_intpoly() == rhs.to_intpoly()
+
+
+def closed_eval_bookkeeping(a, w: Permutation):
+    """The two exponent identities of the factorised evaluation behind
+    ``interp.closed_eval``, as (left, right) pairs; with s_i the partial
+    sums a_{w(1)} + ... + a_{w(i-1)}:
+
+      * the sign exponents cancel: l(w) + s_less + s_greater = sum_j s_j,
+      * the q-power exponents cancel: t_less + t_greater = sum_i t_i.
+    """
+    n = len(a)
+    s = [0] * (n + 2)  # s[1..n+1]
+    for i in range(1, n + 1):
+        s[i + 1] = s[i] + a[w(i) - 1]
+    total = s[n + 1]
+    t_phi = [si * (si - 1) // 2 + si * (total - s[i + 1]) - (n - i) * si
+             for i, si in enumerate(s[1:n + 1], start=1)]
+    s_less = s_greater = t_less = t_greater = 0
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            contrib = (a[w(i) - 1] * (a[w(i) - 1] - 1) // 2
+                       + (a[w(i) - 1] + a[w(j) - 1] - 1) * s[i])
+            if w(i) < w(j):
+                s_less += a[w(i) - 1]
+                t_less += contrib
+            else:
+                s_greater += a[w(i) - 1] - 1
+                t_greater += contrib
+    return ((w.length() + s_less + s_greater, sum(s[1:n + 1])),
+            (t_less + t_greater, sum(t_phi)))
 
 
 def contributing_perms(lam_bar, m: int):

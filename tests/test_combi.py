@@ -2,6 +2,8 @@ import itertools
 import math
 import random
 
+import pytest
+
 from dysonct.combi import (
     Permutation, Tournament, ZeroOneMatrix, all_compositions, all_pairs,
     all_pairsets, conjugate, ell_stats, is_partition, is_strict,
@@ -94,6 +96,13 @@ class TestEllStats:
         assert ell == (1, 2, 0)
         assert K == 3
 
+    def test_rejects_repeated_and_out_of_range_pairs(self):
+        # a repeated pair would put some ell_i outside 0..n-1
+        with pytest.raises(ValueError, match="repeated pair"):
+            ell_stats([(1, 2), (1, 2)], 2)
+        with pytest.raises(ValueError, match="out of range"):
+            ell_stats([(2, 1)], 2)
+
     def test_lemma_K_never_attained(self):
         # no index i has ell_i = K(S): exhaustive for n <= 4
         for n in range(1, 5):
@@ -184,7 +193,7 @@ class TestZeroOneMatrix:
                            (0, 0, 0, 1, 0)))
         assert k.row_sums() == (2, 2, 4, 1)
         assert k.col_sums() == (2, 3, 0, 2, 2)
-        assert k.total() == 9
+        assert sum(k.row_sums()) == 9
 
     def test_left_justified_worked_example(self):
         k = left_justified_from_rows((2, 0, 3, 2), 5)

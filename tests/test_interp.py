@@ -9,16 +9,17 @@ from dysonct.cli import RunConfig, run
 from dysonct.combi import Permutation, all_pairs, all_pairsets, ell_stats
 from dysonct.identities import c_w, rhs_sills, sills_lhs
 from dysonct.interp import (
-    Grid, closed_eval, dyson_coeff_interpolated, dyson_grid, eval_factored,
-    fs_factors, generic_coeff, scan_survivors, sills_coeff_interpolated,
-    sills_factors, sills_grid,
+    Grid, _survivor_term, closed_eval, dyson_coeff_interpolated, dyson_grid,
+    eval_factored, fs_factors, generic_coeff, scan_survivors,
+    sills_coeff_interpolated, sills_factors, sills_grid,
 )
 from dysonct.mpoly import (
-    MPoly, dyson_kernel, table_kernel, table_x, tkernel, tzero_kernel,
+    MPoly, dyson_kernel, table_x, tkernel, tzero_kernel,
 )
 from dysonct.qpoly import IntPoly
 from reference import (
-    default_grid, fs_degree_profile, fs_polynomial, pairset_to_perm, product,
+    closed_eval_bookkeeping, default_grid, fs_degree_profile, fs_polynomial,
+    pairset_to_perm, product, sampled_dyson_grid,
 )
 
 
@@ -80,9 +81,9 @@ class TestDysonGrid:
     def test_n2_empty_set(self):
         grid, pi = dyson_grid((1, 1), frozenset())
         assert pi == Permutation.identity(2)
-        value, survivors, _ = dyson_coeff_interpolated((1, 1), frozenset())
+        survivors = scan_survivors(*fs_factors((1, 1), frozenset()), grid)
         assert survivors == [(0, 1)]   # alpha = (0, a_1)
-        assert value == IntPoly.const(1)
+        assert dyson_coeff_interpolated((1, 1), frozenset()) == IntPoly.const(1)
 
     def test_grid_sizes_match_degree_profile(self):
         for a in [(1, 1, 1), (2, 1, 2)]:
@@ -93,14 +94,16 @@ class TestDysonGrid:
 
     def test_exhaustive_n3_against_brute_force(self):
         for a in [(1, 1, 1), (2, 1, 1)]:
-            tab = table_kernel(3)
-            coeffs = tkernel(a, tab).ct_x().t_coefficients()
-            pairs = sorted(tab.t_pairs)
+            ct = tkernel(a).ct_x()
+            coeffs = ct.t_coefficients()
+            pairs = sorted(ct.table.t_pairs)
             for S in all_pairsets(3):
                 texp = tuple(1 if p in S else 0 for p in pairs)
                 brute = coeffs.get(texp, IntPoly())
-                value, survivors, pi = dyson_coeff_interpolated(a, S)
+                value = dyson_coeff_interpolated(a, S)
                 assert value == brute
+                grid, pi = dyson_grid(a, S)
+                survivors = scan_survivors(*fs_factors(a, S), grid)
                 _, _, _, K = ell_stats(S, 3)
                 if K == 3:
                     w = pairset_to_perm(S, 3)
@@ -112,16 +115,18 @@ class TestDysonGrid:
     def test_recording_set_value_is_closed_form(self):
         a = (2, 1, 1)
         for w in Permutation.all_perms(3):
-            value, _, _ = dyson_coeff_interpolated(a, w.recording_set())
+            value = dyson_coeff_interpolated(a, w.recording_set())
             assert value == c_w(a, w)
 
     def test_free_choice_independence(self):
         rng = random.Random(99)
         a = (2, 1, 2)
         for S in all_pairsets(3):
-            base, _, _ = dyson_coeff_interpolated(a, S)
+            base = dyson_coeff_interpolated(a, S)
+            _, pi = dyson_grid(a, S)
             for _ in range(3):
-                again, _, _ = dyson_coeff_interpolated(a, S, rng)
+                grid = sampled_dyson_grid(a, S, rng)
+                again = _survivor_term(a, *fs_factors(a, S), grid, pi)
                 assert again == base
 
     def test_generic_lemma_on_expanded_fs(self):
@@ -140,8 +145,7 @@ class TestDysonGrid:
         # prod_S (x_i/x_j) in the t-free kernel
         from dysonct.mpoly import tzero_kernel
         a = (1, 1)
-        tab = table_kernel(2)
-        coeffs = tkernel(a, tab).ct_x().t_coefficients()
+        coeffs = tkernel(a).ct_x().t_coefficients()
         for S in all_pairsets(2):
             F = fs_polynomial(a, S)
             d = fs_degree_profile(a, S)
@@ -176,6 +180,21 @@ class TestClosedEval:
             for a in itertools.product((1, 2), repeat=3):
                 assert closed_eval(a, w) == c_w(a, w)
 
+    def test_bookkeeping_identities(self):
+        # the sign and q-power exponents of the factorised evaluation
+        # cancel, for all 5,967 (a, w) with n <= 4 and a in {1,2,3}^n or
+        # n = 5 and a in {1,2}^5
+        cases = 0
+        for n, parts in [(1, (1, 2, 3)), (2, (1, 2, 3)), (3, (1, 2, 3)),
+                         (4, (1, 2, 3)), (5, (1, 2))]:
+            perms = list(Permutation.all_perms(n))
+            for a in itertools.product(parts, repeat=n):
+                for w in perms:
+                    sign, power = closed_eval_bookkeeping(a, w)
+                    assert sign[0] == sign[1] and power[0] == power[1], (a, w)
+                    cases += 1
+        assert cases == 5967
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             closed_eval((1, 0), Permutation.identity(2))
@@ -198,20 +217,20 @@ class TestClosedEval:
 
 class TestSillsGrid:
     def test_n2_survivor(self):
-        value, survivors = sills_coeff_interpolated((1, 1), 2)
+        survivors = scan_survivors(*sills_factors((1, 1)), sills_grid((1, 1), 2))
         assert survivors == [(0, 1)]
-        assert value == rhs_sills((1, 1), 2, 1)
+        assert sills_coeff_interpolated((1, 1), 2) == rhs_sills((1, 1), 2, 1)
 
     def test_interpolation_reproduces_theorem(self):
         for a in [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)]:
             for r in (2, 3):
-                value, _ = sills_coeff_interpolated(a, r)
+                value = sills_coeff_interpolated(a, r)
                 assert value == rhs_sills(a, r, 1)
                 assert value == sills_lhs(a, r, 1)
 
     def test_a_r_zero_allowed(self):
-        value, _ = sills_coeff_interpolated((1, 0, 1), 2)
-        assert value == rhs_sills((1, 0, 1), 2, 1)
+        assert (sills_coeff_interpolated((1, 0, 1), 2)
+                == rhs_sills((1, 0, 1), 2, 1))
 
     def test_excluded_point_is_necessary(self):
         # readmitting the cut point of B_r lets the cyclically shifted
@@ -275,7 +294,7 @@ class TestPrunedScan:
         pairsets = sorted(all_pairsets(4), key=sorted)
         for a in itertools.product((1, 2), repeat=4):
             for S in rng.sample(pairsets, 4):
-                grid, _ = dyson_grid(a, S, rng)
+                grid = sampled_dyson_grid(a, S, rng)
                 _check_scan(*fs_factors(a, S), grid, confirmed)
 
     def test_every_sills_grid_up_to_n4(self, confirmed):
@@ -321,7 +340,7 @@ class TestFactorListsMatchKernels:
         for n in range(1, 5):
             table = table_x(n)
             for a in itertools.product((1, 2), repeat=n):
-                kernel = tzero_kernel(a, table).expand()
+                kernel = tzero_kernel(a).expand()
                 for S in (frozenset(), frozenset(all_pairs(n))):
                     got, x_d = _factor_product(*fs_factors(a, S), table)
                     assert got == x_d * kernel * (-1) ** len(S), (a, S)
@@ -331,4 +350,4 @@ class TestFactorListsMatchKernels:
             table = table_x(n)
             for a in itertools.product((1, 2), repeat=n):
                 got, x_d = _factor_product(*sills_factors(a), table)
-                assert got == x_d * dyson_kernel(a, table).expand(), a
+                assert got == x_d * dyson_kernel(a).expand(), a

@@ -142,10 +142,10 @@ def test_digit_width_covers_the_l1_bound(last):
     # last = 2 the product is the bound itself, which a digit width one bit
     # short reads back as its negative
     table = kernel_table("dyson", 2)
-    two = MPoly.monomial(table, {}, 2)
+    two = MPoly.one(table) * 2
     for F in range(11):
-        factors = [two] * F + [MPoly.monomial(table, {}, last)]
-        want = MPoly.monomial(table, {}, last * 2 ** F)
+        factors = [two] * F + [MPoly.one(table) * last]
+        want = MPoly.one(table) * (last * 2 ** F)
         assert kernel_coeff(factors, table) == want, F
         assert Kernel(factors, table).expand() == want, F
         assert mul_coeff_x(product(factors[:-1], table), factors[-1],

@@ -19,6 +19,13 @@ def x(table, i, e=1):
     return MPoly.monomial(table, {table.x_index(i): e})
 
 
+def _with_t_block(p, table):
+    """p, a polynomial in q and x, rewritten on ``table``, which appends t
+    variables to the same x block."""
+    pad = (0,) * len(table.t_pairs)
+    return MPoly(table, [(vec + pad, c) for vec, c in p.terms()])
+
+
 def rand_poly(table, rng, nterms=6, span=3):
     terms = []
     for _ in range(nterms):
@@ -66,7 +73,7 @@ class TestArith:
             MPoly.from_intpoly(t, IntPoly({2 ** 31: 1}))
         edge = MPoly.monomial(t, {1: 2 ** 31 - 1, 2: -2 ** 31})
         assert edge.terms() == [((0, 2 ** 31 - 1, -2 ** 31), 1)]
-        k = dyson_kernel((1, 1), t)
+        k = dyson_kernel((1, 1))
         full = k.expand()
         for v in ((2 ** 32, -1), (2 ** 31, 0), (0, -2 ** 31 - 1)):
             with pytest.raises(ValueError):
@@ -75,7 +82,7 @@ class TestArith:
                 mul_coeff_x(full, MPoly.one(t), v)
         tk = table_kernel(2)
         with pytest.raises(ValueError):
-            tkernel((1, 1), tk).expand().coeff_aux("t", {(1, 2): 2 ** 31})
+            tkernel((1, 1)).expand().coeff_aux("t", {(1, 2): 2 ** 31})
         # a substituted q exponent is range-checked too
         with pytest.raises(ValueError):
             MPoly.monomial(t, {1: 1}).subst_x_qpower((2 ** 40, 0))
@@ -184,23 +191,15 @@ class TestSubstitutions:
     def test_subst_t_qpowers_recovers_dyson(self):
         for a in [(1, 1), (2, 1), (1, 2), (2, 2), (1, 1, 1), (2, 1, 2), (2, 2, 2)]:
             n = len(a)
-            tab = table_kernel(n)
             powers = {(i, j): a[j - 1] for i in range(1, n)
                       for j in range(i + 1, n + 1)}
-            lhs = subst_t_qpowers(tkernel(a, tab).expand(), powers)
-            rhs = dyson_kernel(a, tab).expand()
-            assert lhs == rhs
+            lhs = subst_t_qpowers(tkernel(a).expand(), powers)
+            assert lhs == _with_t_block(dyson_kernel(a).expand(), lhs.table)
 
     def test_subst_t_zero_recovers_short_kernel(self):
         for a in [(1, 1), (2, 2), (1, 2, 1)]:
-            n = len(a)
-            tab = table_kernel(n)
-            lhs = subst_t_zero(tkernel(a, tab).expand())
-            # rebuild the t-free kernel on the same table
-            rhs_terms = [(vec, c) for vec, c in tzero_kernel(a).expand().terms()]
-            rhs = MPoly(tab, [(vec + (0,) * len(tab.t_pairs), c)
-                              for vec, c in rhs_terms])
-            assert lhs == rhs
+            lhs = subst_t_zero(tkernel(a).expand())
+            assert lhs == _with_t_block(tzero_kernel(a).expand(), lhs.table)
         # t -> 0 is undefined on a negative t power
         tab = table_kernel(2)
         with pytest.raises(ValueError):
@@ -237,7 +236,7 @@ class TestGamma:
 class TestKernels:
     def test_dyson_11_expansion(self):
         t = table_x(2)
-        k = dyson_kernel((1, 1), t).expand()
+        k = dyson_kernel((1, 1)).expand()
         expected = (MPoly.one(t) + MPoly.from_intpoly(t, IntPoly({1: 1}))
                     - x(t, 1) * x(t, 2, -1)
                     - x(t, 2) * x(t, 1, -1) * IntPoly({1: 1}))
@@ -264,7 +263,7 @@ class TestKernels:
         a = (1, 1)
         tab = table_tau(n, m)
         assert tab.names == ("q", "x1", "x2", "x3", "x4", "t[1,2]")
-        lhs = tau_kernel(a, m, tab).expand()
+        lhs = tau_kernel(a, m).expand()
         factors = []
         # D(a; x; t) on the first n variables
         for i in range(1, n + 1):
@@ -297,10 +296,9 @@ class TestKernels:
 
 class TestTextForms:
     def test_render_examples(self):
-        t = table_kernel(2)
-        k = tkernel((1, 1), t).ct_x()
+        k = tkernel((1, 1)).ct_x()
         assert str(k) == "1 + t[1,2]"
-        assert str(MPoly.zero(t)) == "0"
+        assert str(MPoly.zero(k.table)) == "0"
 
     def test_render_coefficients(self):
         t = table_x(2)
@@ -336,19 +334,17 @@ def ref_t_coefficients(p):
 class TestTCoefficients:
     def test_matches_decode_and_sort_on_t_kernels(self):
         for n in range(1, 5):
-            tab = table_kernel(n)
             for a in itertools.product((1, 2), repeat=n):
-                p = tkernel(a, tab).ct_x()
+                p = tkernel(a).ct_x()
                 assert p.t_coefficients() == ref_t_coefficients(p), a
 
     def test_matches_decode_and_sort_on_kadell_t_sides(self):
         from dysonct.identities import D_vlambda
-        tab = table_kernel(3)
         for a in itertools.product((1, 2), repeat=3):
             for k in (1, 2, 3):
                 for m in (1, 2):
                     v = (0,) * (k - 1) + (m,) + (0,) * (3 - k)
-                    p = D_vlambda(v, (m,), a, "t", tab)
+                    p = D_vlambda(v, (m,), a, "t")
                     assert p.t_coefficients() == ref_t_coefficients(p)
 
     def test_keys_follow_the_table_pairs(self):

@@ -23,8 +23,11 @@ A by-name scan cannot see a definition whose name is shared: a reference
 to one name reaches every definition of that name.  So a module-level
 ``product`` that no route calls looks reached next to ``itertools.product``,
 and so does an ``IntPoly``-valued ``one_minus_q`` next to
-``Cyclo.one_minus_q``.  Such names stay a matter for review.  Test-only
-references belong in ``tests/reference.py``.
+``Cyclo.one_minus_q``, a module-level ``qmultinom`` next to
+``Cyclo.qmultinom``, ``MPoly.coeff`` next to ``IntPoly.coeff``, and
+``ZeroOneMatrix.total`` next to any local named ``total``.  Such names
+stay a matter for review.  Test-only references belong in
+``tests/reference.py``.
 """
 
 import ast

@@ -149,9 +149,9 @@ class TestAgainstReferences:
         # t-monomial keys with exponent 1, above 1, and the empty key "1"
         table = table_kernel(3)
         t12, t23 = table.t_index(1, 2), table.t_index(2, 3)
-        p = (MPoly.monomial(table, {0: 2}, -1) + MPoly.one(table) * 3
+        p = (-MPoly.monomial(table, {0: 2}) + MPoly.one(table) * 3
              + MPoly.monomial(table, {t12: 1, 0: -1})
-             + MPoly.monomial(table, {t12: 1, t23: 2}, -BIG))
+             - MPoly.monomial(table, {t12: 1, t23: 2}) * BIG)
         report = _t_report(p)
         assert report == t_report_reference(p)
         assert set(json.loads(report)) == {"1", "t[1,2]", "t[1,2]*t[2,3]^2"}
