@@ -262,11 +262,15 @@ class Tournament:
 
     @classmethod
     def parse(cls, n: int, text: str) -> "Tournament":
-        """Inverse of ``serialize``; commas may also separate the words."""
+        """Inverse of ``serialize``; commas may also separate the words, and
+        a word may not repeat an edge."""
         edges = set()
         for word in text.replace(",", " ").split():
             i, j = word.split(">")
-            edges.add((int(i), int(j)))
+            edge = (int(i), int(j))
+            if edge in edges:
+                raise ValueError(f"repeated edge {word}")
+            edges.add(edge)
         return cls(n, edges)
 
     def __repr__(self):

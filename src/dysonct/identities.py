@@ -110,37 +110,39 @@ def c_w(a, w: Permutation) -> IntPoly:
 
         qmultinom(a) * prod_i (1 - q^{a_i}) / (1 - q^{a_{w(1)}+...+a_{w(i)}})
 
-    reduced to a genuine polynomial: ``_c_weights(a)(w)`` expanded.
+    reduced to a genuine polynomial: ``_c_weights(a, Cyclo())(w)``.
     """
-    return _c_weights(a)(w).expand()
+    return _c_weights(a, Cyclo())(w)
 
 
-def _c_weights(a):
-    """w -> c_w(a) as a Cyclo, for the permutations w of one a.
+def _c_weights(a, scale: Cyclo):
+    """w -> scale * c_w(a) expanded, for the permutations w of one a.
 
-    The numerator qmultinom(a) prod_i (1 - q^{a_i}) is built once, and
-    each 1 - q^s once per distinct partial sum s, so a weight costs n
-    divisions.
+    The numerator scale qmultinom(a) prod_i (1 - q^{a_i}) is built once.
+    c_w depends on w only through the partial sums a_{w(1)} + ... +
+    a_{w(i)}, that is through the word (a_{w(1)}, ..., a_{w(n)}), so each
+    distinct word is divided out and expanded once.
     """
     a = tuple(a)
     n = len(a)
     if any(x < 1 for x in a):
         raise ValueError("c_w needs positive a")
-    num = Cyclo.qmultinom(a)
+    num = scale * Cyclo.qmultinom(a)
     for x in a:
         num = num * Cyclo.one_minus_q(x)
-    dens: dict[int, Cyclo] = {}
+    done: dict[tuple, IntPoly] = {}
 
-    def weight(w: Permutation) -> Cyclo:
+    def weight(w: Permutation) -> IntPoly:
         if w.n != n:
             raise ValueError(f"w permutes {w.n} letters and a has {n} parts")
-        out, s = num, 0
-        for i in range(1, n + 1):
-            s += a[w(i) - 1]
-            den = dens.get(s)
-            if den is None:
-                den = dens[s] = Cyclo.one_minus_q(s)
-            out = out / den
+        word = w.act(a)
+        out = done.get(word)
+        if out is None:
+            out, s = num, 0
+            for x in word:
+                s += x
+                out = out / Cyclo.one_minus_q(s)
+            out = done[word] = out.expand()
         return out
 
     return weight
@@ -149,9 +151,8 @@ def _c_weights(a):
 def rhs_poincare_qdyson(a) -> MPoly:
     """sum_w c_w(a) t_{R(w)}, on ``table_kernel``."""
     a = tuple(a)
-    weights = _c_weights(a)
     return _poincare_sum(table_kernel(len(a)), Permutation.all_perms(len(a)),
-                         lambda w: weights(w).expand())
+                         _c_weights(a, Cyclo()))
 
 
 def poincare_W(n: int) -> MPoly:
@@ -220,7 +221,7 @@ def D_vlambda(v, lam, a, family: str) -> MPoly:
         raise ValueError(f"D_vlambda reads the dyson or t kernel, not {family!r}")
     table = (table_x if family == "dyson" else table_kernel)(n)
     # the Schur factor is one more factor, so the full kernel is never built
-    return Kernel(kernel_factors(family, a, table)
+    return Kernel(kernel_factors(family, a)
                   + [schur_principal(lam, a, table)], table).coeff_x(v)
 
 
@@ -266,10 +267,9 @@ def rhs_kadell_t(k: int, m: int, a) -> MPoly:
         raise ValueError("k out of range")
     total = sum(a)
     ratio = Cyclo.qpoch(total, m) / Cyclo.qpoch(total - a[k - 1] + 1, m)
-    weights = _c_weights(a)
     return _poincare_sum(table_kernel(n),
                          (w for w in Permutation.all_perms(n) if w(n) == k),
-                         lambda w: (ratio * weights(w)).expand())
+                         _c_weights(a, ratio))
 
 
 def rhs_strict(lam, a, w: Permutation) -> IntPoly:

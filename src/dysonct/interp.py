@@ -10,7 +10,9 @@ q-arithmetic.
 On top of the generic extractor sit the two bespoke grids: one that makes
 at most a single point of the Poincare-deformed Dyson coefficient survive
 (and exactly one precisely when the pair set is a recording set), and one
-for the near-constant-term coefficient of the plain Dyson product.  Both
+for the near-constant-term coefficient of the plain Dyson product.  Their
+factored polynomials are the t -> 0 and Dyson kernels' own factor lists,
+``mpoly.kernel_factors``, with each (u, v, k) read as x_u - x_v q^k.  Both
 find their survivors with ``scan_survivors``, a depth-first search that
 visits only the points no factor (x_u - x_v q^k) annihilates, instead of
 every point of the grid.  The closed evaluation reproduces the surviving
@@ -24,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 
 from .combi import Permutation, ell_stats
-from .mpoly import MPoly
+from .mpoly import MPoly, kernel_factors
 from .qpoly import Cyclo, CycloBasis, IntPoly
 
 
@@ -76,25 +78,12 @@ def generic_coeff(F: MPoly, d, grid: Grid) -> IntPoly:
 
 # -- the deformed Dyson coefficient ------------------------------------------------
 
-def _pair_factors(a, deficit: int) -> list:
-    """Factors (u, v, k), each (x_u - x_v q^k), whose product is x^d times
-    prod_{i<j} (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j - deficit}, d_u the number
-    of factors with first index u; ``deficit`` is that of ``kernel_factors``
-    (1 for the t -> 0 kernel, 0 for the Dyson kernel)."""
-    a = tuple(a)
-    n = len(a)
-    factors = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            factors += [(j, i, k) for k in range(a[i - 1])]
-            factors += [(i, j, k) for k in range(1, a[j - 1] - deficit + 1)]
-    return factors
-
-
 def fs_factors(a, S):
     """(sign, factors) of the homogenised coefficient polynomial F_S: the
-    t -> 0 kernel's factors, with sign (-1)^{number of pairs in S}."""
-    return (-1) ** len(S), _pair_factors(a, 1)
+    t -> 0 kernel's factors, each (u, v, k) read as x_u - x_v q^k, so F_S
+    is x^d times that kernel, d_u the number of factors with first index
+    u, with sign (-1)^{number of pairs in S}."""
+    return (-1) ** len(S), kernel_factors("tzero", a)
 
 
 def _factored(sign: int, factors, alpha, den=()) -> Cyclo:
@@ -227,8 +216,9 @@ def closed_eval(a, w: Permutation) -> IntPoly:
 # -- the near-constant-term grid of the plain Dyson product --------------------------
 
 def sills_factors(a):
-    """Factored form of the homogenised plain Dyson product."""
-    return 1, _pair_factors(a, 0)
+    """Factored form of the homogenised plain Dyson product, as in
+    ``fs_factors``."""
+    return 1, kernel_factors("dyson", a)
 
 
 def sills_grid(a, r: int) -> Grid:

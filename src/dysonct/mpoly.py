@@ -11,11 +11,10 @@ exponents are representable.  Multiplying two monomials is then a single
 integer addition, which is what makes the brute-force kernel expansions
 cheap enough for the verification grids.  Every exponent must lie in the
 signed field range [-2^31, 2^31): ``VarTable.encode``, ``monomial_key``,
-the ``MPoly`` constructor, ``MPoly.from_intpoly`` and
-``from_q_coefficients``, the coefficient shifts of ``coeff_x``,
-``coeff_aux`` and ``mul_coeff_x``, and ``subst_x_qpower``, which
-rebuilds through the constructor, raise ValueError for anything outside
-it.  The multiply loops stay unchecked; a kernel's
+the ``MPoly`` constructor, ``from_q_coefficients``, the coefficient shifts
+of ``coeff_x``, ``coeff_aux`` and ``mul_coeff_x`` and ``subst_x_qpower``
+raise ValueError for anything outside it; ``Kernel`` takes a binomial's
+q-power in [0, 2^31) only.  The multiply loops stay unchecked; a kernel's
 exponents are bounded by its number of factors.
 
 This module owns the packed format: other modules go through exponent
@@ -28,11 +27,13 @@ A ``Kernel`` and ``mul_coeff_x`` multiply and join q-packed polynomials,
 which fold each coefficient polynomial in q into one integer (a Kronecker
 substitution, as in ``qpoly.Cyclo.expand``), so that their loops run over
 the monomials in x and the auxiliary variables only.  The section on
-q-packed polynomials below defines the format.
+q-packed polynomials below defines the format.  A kernel's binomials are
+plain (u, v, k) and (i, j) entries (``kernel_factors``), never MPolys.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .qpoly import IntPoly, balanced_digits, render_monomial, render_terms
@@ -47,7 +48,8 @@ class VarTable:
     families."""
 
     __slots__ = ("nx", "t_pairs", "u_size", "names", "nvars", "off",
-                 "_index", "_xmask", "_xoff", "_tmask", "_umask")
+                 "_index", "_xmask", "_xoff", "_tmask", "_umask",
+                 "_x_ratio", "_t_ratio")
 
     def __init__(self, nx: int, t_pairs=(), u_size: int = 0):
         t_pairs = tuple(sorted(t_pairs))
@@ -71,6 +73,11 @@ class VarTable:
         t0 = 1 + nx
         self._tmask = self._group_mask(t0, len(t_pairs))
         self._umask = self._group_mask(t0 + len(t_pairs), u_size)
+        # packed offsets of x_v/x_u and of t[u,v] x_v/x_u, for Kernel
+        self._x_ratio = {(u, v): (1 << (_W * v)) - (1 << (_W * u)) for u, v
+                         in itertools.permutations(range(1, nx + 1), 2)}
+        self._t_ratio = {p: self._x_ratio[p] + (1 << (_W * (t0 + k)))
+                         for k, p in enumerate(t_pairs)}
 
     @staticmethod
     def _group_mask(start, count):
@@ -139,19 +146,21 @@ class VarTable:
         return self.off + self.shift(exps.items())
 
 
-# -- table factories -----------------------------------------------------------
+# -- table factories: one shared table per argument; no code mutates a table ---
 
+@functools.lru_cache(maxsize=None)
 def table_x(n: int) -> VarTable:
     """q and x1..xn only."""
     return VarTable(n)
 
 
+@functools.lru_cache(maxsize=None)
 def table_kernel(n: int) -> VarTable:
     """q, x1..xn and one t[i,j] per pair; carrier of the deformed kernels."""
-    return VarTable(n, t_pairs=[(i, j) for i in range(1, n)
-                                for j in range(i + 1, n + 1)])
+    return VarTable(n, t_pairs=itertools.combinations(range(1, n + 1), 2))
 
 
+@functools.lru_cache(maxsize=None)
 def table_tau(n: int, m: int) -> VarTable:
     """Table for kernels on n + m variables whose t's are restricted: only
     the pairs within the first n carry a t[i,j]."""
@@ -160,6 +169,7 @@ def table_tau(n: int, m: int) -> VarTable:
     return VarTable(n + m, t_pairs=table_kernel(n).t_pairs)
 
 
+@functools.lru_cache(maxsize=None)
 def table_u(n: int) -> VarTable:
     """q and u1..un (no x-block); carrier for the u-sum identities."""
     return VarTable(0, u_size=n)
@@ -276,10 +286,8 @@ class MPoly:
                 IntPoly(g) for tk, g in groups.items()}
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self == MPoly.from_intpoly(self.table, IntPoly.const(other))
-        if isinstance(other, IntPoly):
-            return self == MPoly.from_intpoly(self.table, other)
+        if isinstance(other, (int, IntPoly)):
+            other = self._coerce(other)
         if not isinstance(other, MPoly):
             return NotImplemented
         return self.table == other.table and self._terms == other._terms
@@ -510,26 +518,39 @@ def mul_coeff_x(p1: MPoly, p2: MPoly, v) -> MPoly:
 # that bound, so ``qpoly.balanced_digits`` reads every coefficient back.
 
 
-def _fold(factors, b: int, off: int) -> tuple:
-    """The product of MPoly factors as a q-packed polynomial, multiplied
-    into one accumulator in list order."""
+def _fold(steps, b: int, off: int) -> tuple:
+    """The product of ``steps`` as a q-packed polynomial, multiplied into
+    one accumulator in list order.  A step (d, k) is the binomial 1 - q^k m,
+    d the packed offset of m: the two-term step copies the accumulator and
+    adds it back shifted by d, times -2^(bk).  An MPoly step multiplies in
+    term by term."""
     acc, low = {off: 1}, 0
-    for f in factors:
+    for f in steps:
+        if type(f) is tuple:
+            d, k = f
+            k *= b
+            out = acc.copy()
+            get = out.get
+            for k1, c1 in acc.items():
+                key = k1 + d
+                s = get(key, 0) - (c1 << k)
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+            acc = out
+            continue
         terms = f._terms
         if not terms:
             return {}, 0
         lo = min([k & _FIELD for k in terms]) - _B
         low += lo
-        out = None
+        out = {}
+        get = out.get
         for k2, c2 in terms.items():
             e = (k2 & _FIELD) - _B
             d = k2 - e - off
             c2 <<= b * (e - lo)
-            if out is None:  # the first term fills ``out``
-                out = (acc.copy() if d == 0 and c2 == 1
-                       else {k1 + d: c1 * c2 for k1, c1 in acc.items()})
-                continue
-            get = out.get
             for k1, c1 in acc.items():
                 k = k1 + d
                 s = get(k, 0) + c1 * c2
@@ -583,29 +604,12 @@ KERNEL_FAMILIES = ("dyson", "t", "tzero", "tau", "tournament", "bg",
                    "bg-alternating")
 
 
-def _poch_binomials(table, i, j, shift, count):
-    xi, xj = table.x_index(i), table.x_index(j)
-    return [MPoly._make(table, {
-        table.off: 1,
-        table.monomial_key({0: shift + k, xi: 1, xj: -1}): -1,
-    }) for k in range(count)]
-
-
-def _t_binomial(table, i, j):
-    """1 - t[i,j] * x_j / x_i."""
-    xi, xj = table.x_index(i), table.x_index(j)
-    return MPoly._make(table, {
-        table.off: 1,
-        table.monomial_key({table.t_index(i, j): 1, xj: 1, xi: -1}): -1,
-    })
-
-
-def kernel_factors(family: str, a, table: VarTable, *, m: int = 0,
-                   tournament=None, index_set=()) -> list:
-    """The binomial factors whose product is the kernel of ``family``.
-
-    With (x)_k = (1 - x)(1 - q x)...(1 - q^{k-1} x), pairs i < j and
-    chi_I the indicator of ``index_set``:
+def kernel_factors(family: str, a, *, m: int = 0, tournament=None,
+                   index_set=()) -> list:
+    """The factors whose product is the kernel of ``family``, as plain
+    binomials: (u, v, k) is 1 - q^k x_v/x_u and (i, j) is 1 - t[i,j] x_j/x_i.
+    With (x)_k = (1 - x)(1 - q x)...(1 - q^{k-1} x), pairs i < j and chi_I
+    the indicator of ``index_set``:
 
       dyson           prod (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j};  a_i >= 0
       t               prod (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j - 1} (1 - t[i,j] x_j/x_i)
@@ -616,20 +620,20 @@ def kernel_factors(family: str, a, table: VarTable, *, m: int = 0,
       tournament      the tzero factors over the directed edges (i, j) of
                       ``tournament`` instead of the pairs i < j
       bg              prod (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j - chi_I(j)}
-      bg-alternating  prod (x_j/x_i - x_i/x_j) * prod_{i != j} (q x_i/x_j)_{a_i - 1}
+      bg-alternating  prod (x_j/x_i - x_i/x_j) * prod_{i != j} (q x_i/x_j)_{a_i - 1},
+                      each x_j/x_i - x_i/x_j an MPoly on ``table_x(n)``
 
     Every family but dyson needs positive a, and only tau takes an m,
-    which must be nonnegative.  Every factor is 1 - q^k x_i/x_j,
-    1 - t[i,j] x_j/x_i or x_j/x_i - x_i/x_j, so it is homogeneous of
-    x-degree 0 by construction, and so is the product; a test pins this
-    for every family.
+    which must be nonnegative.  Every factor is homogeneous of x-degree 0
+    by construction, and so is the product; a test pins this for every
+    family.  ``interp`` reads the same lists, as x_u - q^k x_v.
     """
     a = tuple(a)
     n = len(a)
     if family not in KERNEL_FAMILIES:
         raise ValueError(f"unknown kernel family {family!r}")
     low = 0 if family == "dyson" else 1
-    if any(x < low for x in a):
+    if a and min(a) < low:
         raise ValueError(f"{family} kernel needs "
                          f"{'nonnegative' if low == 0 else 'positive'} a")
     if m < 0 or (m and family != "tau"):
@@ -638,47 +642,37 @@ def kernel_factors(family: str, a, table: VarTable, *, m: int = 0,
     if not all(1 <= i <= n for i in index_set):
         raise ValueError(f"index set {sorted(index_set)} is not inside 1..{n}")
     if family == "bg-alternating":
-        factors = []
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                factors.append(MPoly._make(table, {
-                    table.monomial_key({j: 1, i: -1}): 1,
-                    table.monomial_key({i: 1, j: -1}): -1,
-                }))
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j:
-                    factors += _poch_binomials(table, i, j, 1, a[i - 1] - 1)
+        table = table_x(n)
+        factors = [MPoly._make(table, {table.monomial_key({j: 1, i: -1}): 1,
+                                       table.monomial_key({i: 1, j: -1}): -1})
+                   for i, j in itertools.combinations(range(1, n + 1), 2)]
+        return factors + [(j, i, k) for i, j in itertools.permutations(
+            range(1, n + 1), 2) for k in range(1, a[i - 1])]
+    if family == "tournament":
+        if tournament is None or tournament.n != n:
+            raise ValueError("length of a must match the tournament")
+        edges = sorted(tournament.edges)
     else:
-        if family == "tournament":
-            if tournament is None or tournament.n != n:
-                raise ValueError("length of a must match the tournament")
-            edges = sorted(tournament.edges)
-        else:
-            edges = [(i, j) for i in range(1, n + m + 1)
-                     for j in range(i + 1, n + m + 1)]
-        full = a + (1,) * m
-        factors = []
-        for i, j in edges:
-            if family == "dyson":
-                deficit = 0
-            elif family == "bg":
-                deficit = 1 if j in index_set else 0
-            else:
-                deficit = 1
-            factors += _poch_binomials(table, i, j, 0, full[i - 1])
-            factors += _poch_binomials(table, j, i, 1, full[j - 1] - deficit)
-            if family == "t" or (family == "tau" and j <= n):
-                factors.append(_t_binomial(table, i, j))
+        edges = itertools.combinations(range(1, n + m + 1), 2)
+    full = a + (1,) * m
+    factors = []
+    for i, j in edges:
+        deficit = family != "dyson" and (family != "bg" or j in index_set)
+        factors += [(j, i, k) for k in range(full[i - 1])]
+        factors += [(i, j, k) for k in range(1, full[j - 1] - deficit + 1)]
+        if family == "t" or (family == "tau" and j <= n):
+            factors.append((i, j))
     return factors
 
 
 class Kernel:
     """A product of factors, held as two q-packed halves.
 
-    Each half folds its part of the factor list (the first half and the
-    rest) into one accumulator in list order.  ``kernel_factors`` emits a
-    pair's binomials together and they share one packed x-key, so a pair's
+    A factor is a plain binomial of ``kernel_factors`` or an MPoly on the
+    kernel's table.  Each half folds its part of the list (the first half
+    and the rest) into one accumulator in list order, a binomial 1 - m by
+    the two-term step with the offset of m that the table packs once per
+    (u, v).  A pair's binomials come together and share one x-key, so its
     Pochhammer symbols collapse onto a_i + a_j + 1 keys before the next
     pair multiplies in.  ``coeff_x`` joins the halves with one dict lookup
     per key of the smaller half, into an x-part index of the larger half
@@ -688,16 +682,27 @@ class Kernel:
     __slots__ = ("table", "_b", "_small", "_large", "_index")
 
     def __init__(self, factors, table: VarTable):
-        bound = 1
+        steps, bound = [], 1
         for f in factors:
-            if f.table is not table and f.table != table:
-                raise ValueError("variable tables differ")
-            # a zero factor empties its half; each half must still decode
-            bound *= sum(map(abs, f._terms.values())) or 1
+            if isinstance(f, MPoly):
+                if f.table is not table and f.table != table:
+                    raise ValueError("variable tables differ")
+                # a zero factor empties its half; each half must still decode
+                bound *= sum(map(abs, f._terms.values())) or 1
+                steps.append(f)
+                continue
+            bound <<= 1
+            pair = len(f) == 2
+            d = (table._t_ratio if pair else table._x_ratio).get(f[:2])
+            k = f[2] if len(f) == 3 else 0
+            if d is None or len(f) > 3 or not 0 <= k < _B:
+                raise ValueError(f"binomial {f}: needs u != v in 1..{table.nx}"
+                                 f", t[u,v] in the table, k in [0, 2^{_W - 1})")
+            steps.append((d, k))
         b = self._b = bound.bit_length() + 1
-        half = len(factors) // 2
-        halves = (_fold(factors[:half], b, table.off),
-                  _fold(factors[half:], b, table.off))
+        half = len(steps) // 2
+        halves = (_fold(steps[:half], b, table.off),
+                  _fold(steps[half:], b, table.off))
         self.table = table
         self._small, self._large = sorted(halves, key=lambda h: len(h[0]))
         self._index = _x_index(self._large, table)
@@ -723,20 +728,17 @@ class Kernel:
 
 def dyson_kernel(a) -> Kernel:
     """prod_{i<j} (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j}; a_i >= 0."""
-    table = table_x(len(a))
-    return Kernel(kernel_factors("dyson", a, table), table)
+    return Kernel(kernel_factors("dyson", a), table_x(len(a)))
 
 
 def tkernel(a) -> Kernel:
     """prod_{i<j} (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j - 1} (1 - t[i,j] x_j/x_i)."""
-    table = table_kernel(len(a))
-    return Kernel(kernel_factors("t", a, table), table)
+    return Kernel(kernel_factors("t", a), table_kernel(len(a)))
 
 
 def tzero_kernel(a) -> Kernel:
     """prod_{i<j} (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j - 1}: the t -> 0 kernel."""
-    table = table_x(len(a))
-    return Kernel(kernel_factors("tzero", a, table), table)
+    return Kernel(kernel_factors("tzero", a), table_x(len(a)))
 
 
 def tau_kernel(a, m: int) -> Kernel:
@@ -744,23 +746,21 @@ def tau_kernel(a, m: int) -> Kernel:
     beyond the first n indices (see ``kernel_factors``).  It carries no s
     variables: ``identities.tau_kappa_coeff`` reads each s-coefficient as
     an x-shift."""
-    table = table_tau(len(a), m)
-    return Kernel(kernel_factors("tau", a, table, m=m), table)
+    return Kernel(kernel_factors("tau", a, m=m), table_tau(len(a), m))
 
 
 def tournament_kernel(t, a) -> Kernel:
     """prod over directed edges (i, j) of (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j-1}."""
-    table = table_x(len(a))
-    return Kernel(kernel_factors("tournament", a, table, tournament=t), table)
+    return Kernel(kernel_factors("tournament", a, tournament=t),
+                  table_x(len(a)))
 
 
 def bg_kernel(a, index_set) -> Kernel:
     """prod_{i<j} (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j - chi(j in I)}."""
-    table = table_x(len(a))
-    return Kernel(kernel_factors("bg", a, table, index_set=set(index_set)), table)
+    return Kernel(kernel_factors("bg", a, index_set=set(index_set)),
+                  table_x(len(a)))
 
 
 def bg_alternating_kernel(a) -> Kernel:
     """prod_{i<j} (x_j/x_i - x_i/x_j) * prod_{i != j} (q x_i/x_j)_{a_i - 1}."""
-    table = table_x(len(a))
-    return Kernel(kernel_factors("bg-alternating", a, table), table)
+    return Kernel(kernel_factors("bg-alternating", a), table_x(len(a)))

@@ -144,12 +144,9 @@ def scalar_product(f: MPoly, g: MPoly) -> IntPoly:
     t = f.table
     if g.table != t:
         raise ValueError("variable tables differ")
-    factors = [f, reverse_invert_x(g)]
-    for i in range(1, t.nx + 1):
-        for j in range(i + 1, t.nx + 1):
-            factors.append(MPoly.one(t) - MPoly.monomial(
-                t, {t.x_index(i): 1, t.x_index(j): -1}))
-    return Kernel(factors, t).ct_x().to_intpoly()
+    pairs = [(j, i, 0) for i in range(1, t.nx + 1)
+             for j in range(i + 1, t.nx + 1)]  # 1 - x_i/x_j
+    return Kernel([f, reverse_invert_x(g)] + pairs, t).ct_x().to_intpoly()
 
 
 # -- hook-content cross-check oracle -----------------------------------------------

@@ -58,6 +58,64 @@ def product(factors, table) -> MPoly:
     return out
 
 
+# -- kernel factors as one MPoly per binomial -------------------------------------
+
+def _poch_binomials(table, i, j, shift, count):
+    """1 - q^(shift + k) x_i/x_j for 0 <= k < count, one MPoly each."""
+    xi, xj = table.x_index(i), table.x_index(j)
+    return [MPoly.one(table)
+            - MPoly.monomial(table, {0: shift + k, xi: 1, xj: -1})
+            for k in range(count)]
+
+
+def mpoly_kernel_factors(family, a, table, *, m=0, tournament=None,
+                         index_set=()) -> list:
+    """The factor list of ``mpoly.kernel_factors`` with every binomial
+    built as its own MPoly on ``table``: the reference for the plain
+    list.  It takes the inputs that ``kernel_factors`` accepts."""
+    a = tuple(a)
+    n = len(a)
+    factors = []
+    if family == "bg-alternating":
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                factors.append(MPoly.monomial(table, {j: 1, i: -1})
+                               - MPoly.monomial(table, {i: 1, j: -1}))
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i != j:
+                    factors += _poch_binomials(table, i, j, 1, a[i - 1] - 1)
+        return factors
+    if family == "tournament":
+        edges = sorted(tournament.edges)
+    else:
+        edges = [(i, j) for i in range(1, n + m + 1)
+                 for j in range(i + 1, n + m + 1)]
+    full = a + (1,) * m
+    for i, j in edges:
+        if family == "dyson":
+            deficit = 0
+        elif family == "bg":
+            deficit = 1 if j in index_set else 0
+        else:
+            deficit = 1
+        factors += _poch_binomials(table, i, j, 0, full[i - 1])
+        factors += _poch_binomials(table, j, i, 1, full[j - 1] - deficit)
+        if family == "t" or (family == "tau" and j <= n):
+            factors.append(MPoly.one(table) - MPoly.monomial(table, {
+                table.t_index(i, j): 1, j: 1, i: -1}))
+    return factors
+
+
+def binomial_poly(f, table) -> MPoly:
+    """The MPoly of one plain binomial of ``mpoly.kernel_factors``:
+    (u, v, k) is 1 - q^k x_v/x_u and (i, j) is 1 - t[i,j] x_j/x_i."""
+    u, v, *k = f
+    exps = {0: k[0]} if k else {table.t_index(u, v): 1}
+    exps.update({table.x_index(v): 1, table.x_index(u): -1})
+    return MPoly.one(table) - MPoly.monomial(table, exps)
+
+
 def poch_factor(table, i: int, j: int, shift: int, count: int) -> MPoly:
     """(q^shift * x_i / x_j)_count as an expanded polynomial."""
     if count < 0:

@@ -511,6 +511,14 @@ class TestCtCommand:
         code = main(["ct", "tournament", "--a", "1,1", "--v", "0,0"])
         assert code == 2
 
+    def test_tournament_rejects_a_repeated_edge(self, capsys):
+        code = main(["ct", "tournament", "--a", "1,1", "--v", "0,0",
+                     "--edges", "1>2 1>2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: repeated edge 1>2\n"
+
     def test_tournament_cycle_gives_zero(self, capsys):
         code = main(["ct", "tournament", "--a", "1,1,1", "--v", "0,0,0",
                      "--edges", "1>2 2>3 3>1"])

@@ -184,6 +184,14 @@ class TestTournament:
         assert t.serialize() == "1>2 2>3 3>1"
         assert Tournament.parse(3, "3>1,1>2 2>3") == t
 
+    def test_parse_rejects_a_repeated_edge(self):
+        # a repeated word would collapse into one edge of the set
+        for text in ("1>2 1>2", "1>2,1>2", "1>2 01>2"):
+            with pytest.raises(ValueError, match="repeated edge"):
+                Tournament.parse(2, text)
+        with pytest.raises(ValueError, match="repeated edge 2>3"):
+            Tournament.parse(3, "1>2 2>3 3>1 2>3")
+
 
 class TestZeroOneMatrix:
     def test_worked_example(self):

@@ -129,18 +129,35 @@ def _ref_poincare_sum(table, perms, weight):
 
 class TestPoincareFastPaths:
     def test_c_weights_match_the_product_from_scratch(self):
+        scale = Cyclo.qpoch(3, 2) / Cyclo.qpoch(2, 2)
         for n in range(1, 5):
             perms = list(Permutation.all_perms(n))
             for a in itertools.product((1, 2, 3), repeat=n):
-                weights = _c_weights(a)
+                weights = _c_weights(a, Cyclo())
+                scaled = _c_weights(a, scale)
                 for w in perms:
-                    assert weights(w) == _ref_c_w_cyclo(a, w), (a, w)
+                    want = _ref_c_w_cyclo(a, w)
+                    assert weights(w) == want.expand(), (a, w)
+                    assert scaled(w) == (scale * want).expand(), (a, w)
+
+    def test_c_weights_expand_once_per_word(self, monkeypatch):
+        # c_w depends on w only through the word (a_{w(1)}, ..., a_{w(n)}),
+        # so rhs_poincare_qdyson expands one weight per distinct word
+        expand = Cyclo.expand
+        calls = []
+        monkeypatch.setattr(Cyclo, "expand",
+                            lambda self: calls.append(1) or expand(self))
+        for a, words in (((2, 2, 2, 2), 1), ((1, 1, 2, 2), 6),
+                         ((1, 2, 2, 2), 4), ((1, 2, 3, 4), 24)):
+            calls.clear()
+            rhs_poincare_qdyson(a)
+            assert len(calls) == words, a
 
     def test_c_weights_check_their_input(self):
         with pytest.raises(ValueError):
-            _c_weights((1, 0))
+            _c_weights((1, 0), Cyclo())
         with pytest.raises(ValueError):
-            _c_weights((1, 1))(Permutation((1, 2, 3)))
+            _c_weights((1, 1), Cyclo())(Permutation((1, 2, 3)))
 
     def test_poincare_w_matches_the_fold(self):
         one = IntPoly.const(1)

@@ -334,7 +334,8 @@ def _factor_product(sign, factors, table):
 
 
 class TestFactorListsMatchKernels:
-    """interp's homogenised factor lists against mpoly.kernel_factors."""
+    """interp's homogenised reading of the mpoly.kernel_factors lists,
+    each (u, v, k) as x_u - x_v q^k, against the kernels' expansions."""
 
     def test_fs_factors_are_the_tzero_kernel(self):
         for n in range(1, 5):

@@ -2,8 +2,10 @@
 
 A ``Kernel`` folds two halves of a factor list into q-packed polynomials
 (each coefficient polynomial in q held as one integer) and joins them on
-the x-block.  The reference here multiplies every factor out term by term
-with ``reference.product`` and then extracts with ``coeff_x``.
+the x-block; ``kernel_factors`` hands it each binomial as plain data.  The
+reference here builds every binomial as its own MPoly
+(``reference.mpoly_kernel_factors``), multiplies the factors out term by
+term with ``reference.product`` and then extracts with ``coeff_x``.
 """
 
 import itertools
@@ -14,11 +16,14 @@ import pytest
 from dysonct.combi import all_zero_one_matrices
 from dysonct.identities import tau_kappa_coeff
 from dysonct.mpoly import (
-    KERNEL_FAMILIES, Kernel, MPoly, VarTable, kernel_factors, mul_coeff_x,
-    table_kernel, table_tau, table_x, tau_kernel, tkernel,
+    KERNEL_FAMILIES, Kernel, MPoly, VarTable, bg_alternating_kernel,
+    dyson_kernel, kernel_factors, mul_coeff_x, table_kernel, table_tau,
+    table_x, tau_kernel, tkernel, tzero_kernel,
 )
 from dysonct.symfun import schur_principal
-from reference import all_tournaments, product
+from reference import (
+    all_tournaments, binomial_poly, mpoly_kernel_factors, product,
+)
 
 
 def kernel_coeff(factors, table, v=None):
@@ -75,8 +80,8 @@ def family_cases(family):
 def test_kernel_coeff_matches_full_expansion(family):
     checked = 0
     for a, params, table in family_cases(family):
-        factors = kernel_factors(family, a, table, **params)
-        full = product(factors, table)
+        factors = kernel_factors(family, a, **params)
+        full = product(mpoly_kernel_factors(family, a, table, **params), table)
         for v in near_ct_vectors(table.nx):
             assert kernel_coeff(factors, table, v) == full.coeff_x(v), (a, params, v)
             checked += 1
@@ -90,10 +95,104 @@ def test_every_factor_is_homogeneous_of_x_degree_zero(family):
     # by construction, and so does the kernel
     checked = 0
     for a, params, table in family_cases(family):
-        for f in kernel_factors(family, a, table, **params):
-            assert f.x_degrees() == {0}, (a, params, f)
+        for f in kernel_factors(family, a, **params):
+            poly = f if isinstance(f, MPoly) else binomial_poly(f, table)
+            assert poly.x_degrees() == {0}, (a, params, f)
             checked += 1
     assert checked
+
+
+def differential_cases(family):
+    """(a, params, table): n <= 3, a with parts 0..2 where the family
+    allows them, m <= 2 for tau, every tournament and every index set."""
+    low = 0 if family == "dyson" else 1
+    for n in range(1, 4):
+        for a in itertools.product(range(low, 3), repeat=n):
+            if family == "tau":
+                for m in range(3):
+                    yield a, {"m": m}, kernel_table(family, n, m)
+            elif family == "tournament":
+                for t in all_tournaments(n):
+                    yield a, {"tournament": t}, kernel_table(family, n)
+            elif family == "bg":
+                for size in range(n + 1):
+                    for index_set in itertools.combinations(range(1, n + 1), size):
+                        yield a, {"index_set": set(index_set)}, kernel_table(family, n)
+            else:
+                yield a, {}, kernel_table(family, n)
+
+
+def x_coefficients(p: MPoly) -> dict:
+    """{x-exponent vector: coefficient of that x-monomial} of p."""
+    nx = p.table.nx
+    groups = {}
+    for vec, c in p.terms():
+        x = vec[1:nx + 1]
+        groups.setdefault(x, []).append((vec[:1] + (0,) * nx + vec[nx + 1:], c))
+    return {x: MPoly(p.table, terms) for x, terms in groups.items()}
+
+
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+def test_plain_list_matches_mpoly_binomials(family):
+    # the plain list, read entry by entry, is the MPoly list in its order,
+    # and a Kernel of it reads every coefficient of the MPoly product: the
+    # CT and every x^v with v in {-2..2}^nx
+    cases = reads = 0
+    for a, params, table in differential_cases(family):
+        plain = kernel_factors(family, a, **params)
+        reference = mpoly_kernel_factors(family, a, table, **params)
+        assert [f if isinstance(f, MPoly) else binomial_poly(f, table)
+                for f in plain] == reference, (a, params)
+        kernel = Kernel(plain, table)
+        coeffs = x_coefficients(product(reference, table))
+        zero = MPoly.zero(table)
+        assert kernel.ct_x() == coeffs.get((0,) * table.nx, zero), (a, params)
+        for v in itertools.product(range(-2, 3), repeat=table.nx):
+            assert kernel.coeff_x(v) == coeffs.get(v, zero), (a, params, v)
+            reads += 1
+        cases += 1
+    assert cases and reads
+
+
+def test_named_builders_build_no_binomial_mpoly(monkeypatch):
+    # a build of the dyson, tzero and t kernels constructs no MPoly at all;
+    # bg-alternating's x_j/x_i - x_i/x_j factors show that the count sees
+    # constructions through both the constructor and _make
+    built = []
+    make, init = MPoly._make.__func__, MPoly.__init__
+    monkeypatch.setattr(MPoly, "_make", classmethod(
+        lambda cls, *args: built.append("_make") or make(cls, *args)))
+    monkeypatch.setattr(MPoly, "__init__", lambda self, *args: (
+        built.append("__init__"), init(self, *args))[1])
+    for a in ((2, 1, 2), (1, 2, 2, 1), (3, 1, 2)):
+        for build in (dyson_kernel, tzero_kernel, tkernel):
+            build(a)
+            assert built == [], (build.__name__, a)
+    bg_alternating_kernel((1, 2, 1))
+    assert built.count("_make") == 3
+    MPoly(table_x(1), [((0, 1), 1)])
+    assert built[-1] == "__init__"
+
+
+@pytest.mark.parametrize("entry, table, why", [
+    ((1, 1, 0), table_x(2), "u = v"),
+    ((2, 2), table_kernel(2), "u = v"),
+    ((0, 1, 0), table_x(2), "index 0"),
+    ((1, 3, 0), table_x(2), "index above nx"),
+    ((3, 1, 2), table_x(2), "index above nx"),
+    ((1, 2, -1), table_x(2), "q-power below 0"),
+    ((1, 2, 2 ** 31), table_x(2), "q-power at 2^31"),
+    ((1, 2), table_x(2), "no t in the table"),
+    ((2, 1), table_kernel(2), "t[2,1] is no t of the table"),
+    ((1, 3), table_tau(2, 1), "t[1,3] is no t of the tau table"),
+    ((1, 2, 0, 0), table_x(2), "four entries"),
+    ((1,), table_x(2), "one entry"),
+], ids=lambda x: x if isinstance(x, str) else None)
+def test_malformed_binomial_raises_where_it_enters(entry, table, why):
+    good = (1, 2, 0) if len(table.t_pairs) == 0 else (1, 2)
+    Kernel([good], table)
+    with pytest.raises(ValueError, match="binomial"):
+        Kernel([good, entry], table)
 
 
 def test_repeated_extraction_in_shuffled_order():
@@ -104,9 +203,8 @@ def test_repeated_extraction_in_shuffled_order():
     table = kernel_table("dyson", 3)
     kernels, fulls = [], []
     for a in ((2, 1, 2), (1, 2, 0), (2, 2, 1)):
-        factors = kernel_factors("dyson", a, table)
-        kernels.append(Kernel(factors, table))
-        fulls.append(product(factors, table))
+        kernels.append(Kernel(kernel_factors("dyson", a), table))
+        fulls.append(product(mpoly_kernel_factors("dyson", a, table), table))
     reads = [(i, v) for i in range(len(kernels))
              for v in itertools.product(range(-3, 4), repeat=3) if sum(v) == 0]
     rng.shuffle(reads)
@@ -126,14 +224,15 @@ def test_schur_augmented_lists(family):
         low = 0 if family == "dyson" else 1
         for a in itertools.product(range(low, 3), repeat=n):
             for lam in ((1,), (2,), (1, 1), (2, 1)):
-                factors = kernel_factors(family, a, table)
-                factors.append(schur_principal(lam, a, table))
+                schur = schur_principal(lam, a, table)
+                factors = kernel_factors(family, a) + [schur]
+                reference = mpoly_kernel_factors(family, a, table) + [schur]
                 for m in range(sum(lam) + 1):
                     for v in itertools.product(range(m + 1), repeat=n):
                         if sum(v) != m:
                             continue
                         assert (kernel_coeff(factors, table, v)
-                                == reference_coeff(factors, table, v)), (a, lam, v)
+                                == reference_coeff(reference, table, v)), (a, lam, v)
 
 
 @pytest.mark.parametrize("last", [-2, 2])
@@ -190,7 +289,7 @@ def s_expansion_ct(a, m):
     s_binomials = [MPoly.one(table) - MPoly.monomial(table, {
         table.u_index((i - 1) * m + j): 1, table.x_index(n + j): 1,
         table.x_index(i): -1}) for i in range(1, n + 1) for j in range(1, m + 1)]
-    factors = kernel_factors("tau", a, table, m=m) + s_binomials
+    factors = kernel_factors("tau", a, m=m) + s_binomials
     return Kernel(factors, table).ct_x()
 
 
@@ -217,27 +316,27 @@ def test_kappa_read_matches_s_expansion(a):
 
 def test_degenerate_lists():
     table = kernel_table("dyson", 2)
-    assert kernel_factors("dyson", (0, 0), table) == []
+    assert kernel_factors("dyson", (0, 0)) == []
     assert kernel_coeff([], table) == MPoly.one(table)
     assert kernel_coeff([], table, (1, -1)).is_zero
-    one = kernel_factors("dyson", (1, 0), table)
+    one = kernel_factors("dyson", (1, 0))
     assert len(one) == 1
-    assert kernel_coeff(one, table, (1, -1)) == reference_coeff(one, table, (1, -1))
+    reference = mpoly_kernel_factors("dyson", (1, 0), table)
+    assert kernel_coeff(one, table, (1, -1)) == reference_coeff(reference, table, (1, -1))
     # a zero factor empties its half, so every read and the product are zero
-    zero = [MPoly.zero(table)] + kernel_factors("dyson", (1, 1), table)
+    zero = [MPoly.zero(table)] + kernel_factors("dyson", (1, 1))
     assert kernel_coeff(zero, table).is_zero
     assert Kernel(zero, table).expand().is_zero
-    assert mul_coeff_x(zero[0], zero[1], (1, -1)).is_zero
+    assert mul_coeff_x(zero[0], binomial_poly(zero[1], table), (1, -1)).is_zero
 
 
 def test_unknown_family_and_preconditions():
-    table = kernel_table("dyson", 2)
     with pytest.raises(ValueError):
-        kernel_factors("no-such-kernel", (1, 1), table)
+        kernel_factors("no-such-kernel", (1, 1))
     with pytest.raises(ValueError):
-        kernel_factors("dyson", (1, -1), table)
+        kernel_factors("dyson", (1, -1))
     with pytest.raises(ValueError):
-        kernel_factors("tzero", (1, 0), table)
+        kernel_factors("tzero", (1, 0))
 
 
 def test_only_tau_takes_an_m_and_it_is_nonnegative():
@@ -248,4 +347,4 @@ def test_only_tau_takes_an_m_and_it_is_nonnegative():
     for family in KERNEL_FAMILIES:
         if family != "tau":
             with pytest.raises(ValueError, match="only the tau kernel"):
-                kernel_factors(family, (1, 1), kernel_table(family, 2), m=1)
+                kernel_factors(family, (1, 1), m=1)
