@@ -226,28 +226,23 @@ class Tournament:
             edges.add((j, i) if (i, j) in S else (i, j))
         return cls(n, edges)
 
-    def beats(self, i: int, j: int) -> bool:
-        return (i, j) in self.edges
-
-    def is_transitive(self) -> bool:
-        order = self._ranking()
-        for a in range(self.n):
-            for b in range(a + 1, self.n):
-                if not self.beats(order[a], order[b]):
-                    return False
-        return True
-
-    def _ranking(self):
+    def _out_degrees(self) -> dict:
         outdeg = {v: 0 for v in range(1, self.n + 1)}
         for i, _ in self.edges:
             outdeg[i] += 1
-        return sorted(outdeg, key=lambda v: (-outdeg[v], v))
+        return outdeg
+
+    def is_transitive(self) -> bool:
+        """Read off the score sequence: a tournament is transitive exactly
+        when its out-degrees are 0, 1, ..., n - 1."""
+        return sorted(self._out_degrees().values()) == list(range(self.n))
 
     def winner(self):
         """Ranking of players from best to worst, if transitive, else None."""
         if not self.is_transitive():
             return None
-        return Permutation(self._ranking())
+        outdeg = self._out_degrees()
+        return Permutation(sorted(outdeg, key=lambda v: -outdeg[v]))
 
     def __eq__(self, other):
         return (isinstance(other, Tournament)

@@ -58,11 +58,6 @@ from .symfun import (
 
 # -- small helpers -------------------------------------------------------------
 
-def w_sigma(a, w: Permutation, i: int) -> int:
-    """a_{w(1)} + ... + a_{w(i)}."""
-    return sum(a[w(j) - 1] for j in range(1, i + 1))
-
-
 @functools.lru_cache(maxsize=4)
 def cached_kernel(build, *args) -> Kernel:
     """``build(*args)``, kept for the coefficient reads of a grid that
@@ -120,8 +115,8 @@ def _c_weights(a, scale: Cyclo):
 
     The numerator scale qmultinom(a) prod_i (1 - q^{a_i}) is built once.
     c_w depends on w only through the partial sums a_{w(1)} + ... +
-    a_{w(i)}, that is through the word (a_{w(1)}, ..., a_{w(n)}), so each
-    distinct word is divided out and expanded once.
+    a_{w(i)} of the word (a_{w(1)}, ..., a_{w(n)}) (``partial_sums``), so
+    each distinct word is divided out and expanded once.
     """
     a = tuple(a)
     n = len(a)
@@ -138,9 +133,8 @@ def _c_weights(a, scale: Cyclo):
         word = w.act(a)
         out = done.get(word)
         if out is None:
-            out, s = num, 0
-            for x in word:
-                s += x
+            out = num
+            for s in partial_sums(word):
                 out = out / Cyclo.one_minus_q(s)
             out = done[word] = out.expand()
         return out
@@ -285,11 +279,10 @@ def rhs_strict(lam, a, w: Permutation) -> IntPoly:
         raise ValueError(f"not a strict partition: {lam}")
     if any(x < 1 for x in a):
         raise ValueError("rhs_strict needs positive a")
-    lam_bar = reverse(lam)
+    word = w.act(a)
     out = Cyclo()
-    for i in range(1, n + 1):
-        out = out * Cyclo.qbinom(lam_bar[i - 1] + w_sigma(a, w, i) - 1,
-                                 a[w(i) - 1] - 1)
+    for lb, s, x in zip(reverse(lam), partial_sums(word), word):
+        out = out * Cyclo.qbinom(lb + s - 1, x - 1)
     shift = sum(a[j - 1] for _, j in w.recording_set())
     return out.shifted(shift).expand()
 
@@ -309,32 +302,24 @@ def rhs_strict(lam, a, w: Permutation) -> IntPoly:
 #     G(empty) = 1,   G(C) = sum_{x in C} G(C - x) * step(C, x),
 #
 # which takes n * 2^(n-1) steps instead of n! products.  Every step and
-# both right sides multiply their binomials into one accumulator in turn:
+# both right sides multiply their binomials (1 - u_A) into one accumulator
+# in turn, after the monomial u_{>x} of a step or u_{>k} of the refined
+# right side, by the kernels' two-term step (``MPoly.times_binomials``):
 # their products rarely collide, so a balanced schedule only makes the
 # last merges large x large.
 
-def _u_subset_monomial(table, subset):
-    return MPoly.monomial(table, {table.u_index(i): 1 for i in subset})
-
-
-def _u_binomial(table, subset):
-    return MPoly.one(table) - _u_subset_monomial(table, subset)
-
-
-def _fold_binomials(acc, table, subsets):
-    """acc * prod over ``subsets`` of (1 - u_A), one factor at a time."""
-    for sub in subsets:
-        acc = acc * _u_binomial(table, sub)
-    return acc
+def _u_exponents(table, subset) -> dict:
+    """u_A = prod over i in A = ``subset`` of u_i, as {variable index: 1}."""
+    return {table.u_index(i): 1 for i in subset}
 
 
 def _usum_step(table, acc, C, x):
     """``acc`` times the factors of appending x after the prefix set C - x."""
     rest = sorted(C - {x})
-    acc = acc * _u_subset_monomial(table, [c for c in rest if c > x])
-    acc = acc * _u_binomial(table, {x})
-    return _fold_binomials(acc, table, [
-        frozenset((x,) + b) for r in range(len(rest))
+    acc = acc * MPoly.monomial(table,
+                               _u_exponents(table, [c for c in rest if c > x]))
+    return acc.times_binomials([_u_exponents(table, {x})] + [
+        _u_exponents(table, (x,) + b) for r in range(len(rest))
         for b in itertools.combinations(rest, r)])
 
 
@@ -370,7 +355,8 @@ def usum_cleared_sides(n: int):
     _check_usum_n(n)
     table = table_u(n)
     lhs = _usum_path_sum(table, range(1, n + 1))
-    rhs = _fold_binomials(MPoly.one(table), table, _nonempty_subsets(n))
+    rhs = MPoly.one(table).times_binomials(
+        [_u_exponents(table, sub) for sub in _nonempty_subsets(n)])
     return lhs, rhs
 
 
@@ -383,10 +369,9 @@ def usum_k_cleared_sides(n: int, k: int):
     table = table_u(n)
     full = frozenset(range(1, n + 1))
     lhs = _usum_step(table, _usum_path_sum(table, full - {k}), full, k)
-    rhs = (_u_subset_monomial(table, range(k + 1, n + 1))
-           * _u_binomial(table, {k}))
-    rhs = _fold_binomials(rhs, table,
-                          [sub for sub in _nonempty_subsets(n) if sub != full])
+    upper = MPoly.monomial(table, _u_exponents(table, range(k + 1, n + 1)))
+    rhs = upper.times_binomials([_u_exponents(table, {k})] + [
+        _u_exponents(table, sub) for sub in _nonempty_subsets(n) if sub != full])
     return lhs, rhs
 
 
@@ -709,7 +694,7 @@ def verify_schur_monomial(lam, v):
     got = scalar_product(
         schur_principal(lam, (1,) * n, t),
         MPoly.monomial(t, {t.x_index(i + 1): e for i, e in enumerate(v) if e}))
-    delta = tuple(range(n - 1, -1, -1))
+    delta = staircase(n)
     u = tuple(x + d for x, d in zip(v, delta))
     ref = tuple(x + d for x, d in zip(lam, delta))
     if sorted(u, reverse=True) == list(ref) and len(set(u)) == n:

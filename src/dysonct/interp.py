@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .combi import Permutation, ell_stats
+from .combi import Permutation, ell_stats, partial_sums
 from .mpoly import MPoly, kernel_factors
 from .qpoly import Cyclo, CycloBasis, IntPoly
 
@@ -107,18 +107,13 @@ def _interpolation_term(sign, factors, grid: Grid, alpha) -> Cyclo:
 
 def _survivor_term(a, sign, factors, grid: Grid, pi) -> IntPoly:
     """The interpolation over ``grid``: with pi the one survivor must be
-    the point alpha_{pi(i)} = a_{pi(1)} + ... + a_{pi(i-1)} and the value
-    is its interpolation term; with pi None no point may survive and the
-    value is zero.  Raises AssertionError for any other survivors."""
+    the point alpha_{pi(i)} = a_{pi(1)} + ... + a_{pi(i-1)}, the partial
+    sums of pi(a) shifted one place and put back in place by pi^{-1}, and
+    the value is its interpolation term; with pi None no point may survive
+    and the value is zero.  Raises AssertionError for any other survivors."""
     survivors = scan_survivors(sign, factors, grid)
-    expected = []
-    if pi is not None:
-        point = [0] * len(a)
-        acc_sum = 0
-        for i in range(1, len(a) + 1):
-            point[pi(i) - 1] = acc_sum
-            acc_sum += a[pi(i) - 1]
-        expected.append(tuple(point))
+    expected = [] if pi is None else [
+        pi.inverse().act((0,) + partial_sums(pi.act(a))[:-1])]
     if survivors != expected:
         raise AssertionError(f"surviving points {survivors}, expected the "
                              f"partial sums {expected}")
@@ -144,8 +139,8 @@ def dyson_grid(a, S):
     for k in range(1, K + 1):
         tau[k] = ell.index(k - 1) + 1
     chain = {tau[k]: k for k in tau}
-    chain_sums = [sum(a[tau[j] - 1] for j in range(1, k + 1))
-                  for k in range(0, K + 1)]  # chain_sums[k] = a_{tau(1..k)}
+    # chain_sums[k] = a_{tau(1)} + ... + a_{tau(k)}
+    chain_sums = (0,) + partial_sums(a[tau[k] - 1] for k in range(1, K + 1))
     points = []
     for i in range(1, n + 1):
         top = total - a[i - 1]
@@ -184,8 +179,9 @@ def dyson_coeff_interpolated(a, S) -> IntPoly:
 
 def closed_eval(a, w: Permutation) -> IntPoly:
     """Evaluate the surviving interpolation term for S = R(w) as a product
-    of q-factorials in the partial sums s_i = a_{w(1)} + ... + a_{w(i-1)};
-    the Cyclo product carries its own sign and power of q.
+    of q-factorials in the partial sums s_i = a_{w(1)} + ... + a_{w(i-1)}
+    of w(a), i = 1..n+1 (``partial_sums``, shifted one place); the Cyclo
+    product carries its own sign and power of q.
 
     The product is the weight of w in the deformed Poincare sum; comparing
     it with that closed form is the ``interp-closed`` checker's job.
@@ -196,9 +192,7 @@ def closed_eval(a, w: Permutation) -> IntPoly:
         raise ValueError("closed_eval needs positive a")
     if w.n != n:
         raise ValueError(f"w permutes {w.n} letters and a has {n} parts")
-    s = [0] * (n + 2)  # s[1..n+1]
-    for i in range(1, n + 1):
-        s[i + 1] = s[i] + a[w(i) - 1]
+    s = (0, 0) + partial_sums(w.act(a))  # s[1..n+1]; s[0] pads
     total = s[n + 1]
     value = Cyclo()
     for i in range(1, n + 1):

@@ -10,12 +10,12 @@ Internally a monomial's exponent vector is packed into a single integer,
 exponents are representable.  Multiplying two monomials is then a single
 integer addition, which is what makes the brute-force kernel expansions
 cheap enough for the verification grids.  Every exponent must lie in the
-signed field range [-2^31, 2^31): ``VarTable.encode``, ``monomial_key``,
-the ``MPoly`` constructor, ``from_q_coefficients``, the coefficient shifts
-of ``coeff_x``, ``coeff_aux`` and ``mul_coeff_x`` and ``subst_x_qpower``
-raise ValueError for anything outside it; ``Kernel`` takes a binomial's
-q-power in [0, 2^31) only.  The multiply loops stay unchecked; a kernel's
-exponents are bounded by its number of factors.
+signed field range [-2^31, 2^31): ``VarTable.encode``, ``monomial_key``, the
+``MPoly`` constructor, ``from_q_coefficients``, ``times_binomials``, the
+coefficient shifts of ``coeff_x``, ``coeff_aux`` and ``mul_coeff_x`` and
+``subst_x_qpower`` raise ValueError for anything outside it; ``Kernel`` takes
+a binomial's q-power in [0, 2^31) only.  The multiply loops stay unchecked;
+a kernel's exponents are bounded by its number of factors.
 
 This module owns the packed format: other modules go through exponent
 vectors and ``monomial_key`` and never shift or mask a packed key.
@@ -29,6 +29,8 @@ substitution, as in ``qpoly.Cyclo.expand``), so that their loops run over
 the monomials in x and the auxiliary variables only.  The section on
 q-packed polynomials below defines the format.  A kernel's binomials are
 plain (u, v, k) and (i, j) entries (``kernel_factors``), never MPolys.
+One two-term step multiplies by every binomial 1 - m: ``Kernel`` runs it on
+q-packed terms and ``MPoly.times_binomials`` (the u-sum's) on plain ones.
 """
 
 from __future__ import annotations
@@ -362,6 +364,14 @@ class MPoly:
 
     __rmul__ = __mul__
 
+    def times_binomials(self, monomials) -> "MPoly":
+        """This polynomial times prod (1 - m) over ``monomials``, each m a
+        {variable index: exponent}: ``_fold``'s two-term step with k = 0."""
+        shift = self.table.shift
+        acc, _ = _fold([(shift(m.items()), 0) for m in monomials], 0,
+                       self._terms)
+        return MPoly._make(self.table, acc)
+
     # -- extraction -----------------------------------------------------------
 
     def ct_x(self) -> "MPoly":
@@ -518,13 +528,12 @@ def mul_coeff_x(p1: MPoly, p2: MPoly, v) -> MPoly:
 # that bound, so ``qpoly.balanced_digits`` reads every coefficient back.
 
 
-def _fold(steps, b: int, off: int) -> tuple:
-    """The product of ``steps`` as a q-packed polynomial, multiplied into
-    one accumulator in list order.  A step (d, k) is the binomial 1 - q^k m,
-    d the packed offset of m: the two-term step copies the accumulator and
-    adds it back shifted by d, times -2^(bk).  An MPoly step multiplies in
-    term by term."""
-    acc, low = {off: 1}, 0
+def _fold(steps, b: int, acc: dict) -> tuple:
+    """``acc`` times ``steps`` in list order, into one accumulator (``acc``
+    is left as it is).  A step (d, k) is the binomial 1 - q^k m, d the packed
+    offset of m: the two-term step copies the accumulator and adds it back
+    shifted by d, times -2^(bk).  An MPoly step multiplies in term by term."""
+    low = 0
     for f in steps:
         if type(f) is tuple:
             d, k = f
@@ -543,7 +552,7 @@ def _fold(steps, b: int, off: int) -> tuple:
         terms = f._terms
         if not terms:
             return {}, 0
-        lo = min([k & _FIELD for k in terms]) - _B
+        off, lo = f.table.off, min([k & _FIELD for k in terms]) - _B
         low += lo
         out = {}
         get = out.get
@@ -701,8 +710,8 @@ class Kernel:
             steps.append((d, k))
         b = self._b = bound.bit_length() + 1
         half = len(steps) // 2
-        halves = (_fold(steps[:half], b, table.off),
-                  _fold(steps[half:], b, table.off))
+        halves = (_fold(steps[:half], b, {table.off: 1}),
+                  _fold(steps[half:], b, {table.off: 1}))
         self.table = table
         self._small, self._large = sorted(halves, key=lambda h: len(h[0]))
         self._index = _x_index(self._large, table)

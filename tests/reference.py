@@ -268,6 +268,23 @@ def pairset_to_perm(S, n: int):
     return Permutation(ell.index(n - j) + 1 for j in range(1, n + 1))
 
 
+def w_sigma(a, w: Permutation, i: int) -> int:
+    """a_{w(1)} + ... + a_{w(i)}, summed on its own: the partial sum that
+    the package reads from ``combi.partial_sums`` of the word w(a)."""
+    return sum(a[w(j) - 1] for j in range(1, i + 1))
+
+
+def is_transitive_pairwise(t: Tournament) -> bool:
+    """The O(n^2) check that ``Tournament.is_transitive`` replaced: rank
+    the players by out-degree, then ask whether each beats every later one."""
+    outdeg = {v: 0 for v in range(1, t.n + 1)}
+    for i, _ in t.edges:
+        outdeg[i] += 1
+    order = sorted(outdeg, key=lambda v: (-outdeg[v], v))
+    return all((order[a], order[b]) in t.edges
+               for a in range(t.n) for b in range(a + 1, t.n))
+
+
 def natural_tournament(n: int) -> Tournament:
     """The transitive tournament 1 -> 2 -> ... -> n."""
     return Tournament.from_pairset(frozenset(), n)

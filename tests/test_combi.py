@@ -9,7 +9,9 @@ from dysonct.combi import (
     all_pairsets, conjugate, ell_stats, is_partition, is_strict,
     left_justified_from_rows, partial_sums, reverse, sort_desc, staircase,
 )
-from reference import all_tournaments, natural_tournament, pairset_to_perm
+from reference import (
+    all_tournaments, is_transitive_pairwise, natural_tournament, pairset_to_perm,
+)
 
 
 class TestPermutation:
@@ -176,6 +178,17 @@ class TestTournament:
         for n in (3, 4):
             count = sum(1 for t in all_tournaments(n) if t.is_transitive())
             assert count == math.factorial(n)
+
+    def test_score_sequence_matches_the_pairwise_check(self):
+        # transitive exactly when the out-degrees are 0, 1, ..., n - 1
+        seen = transitive = 0
+        for n in range(1, 6):
+            for t in all_tournaments(n):
+                assert t.is_transitive() == is_transitive_pairwise(t), \
+                    t.serialize()
+                seen += 1
+                transitive += t.is_transitive()
+        assert (seen, transitive) == (1099, 153)
 
     def test_serialize_round_trip(self):
         for t in all_tournaments(3):

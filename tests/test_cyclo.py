@@ -19,7 +19,7 @@ from dysonct.combi import (
 from dysonct.identities import (
     _near_ct_basis, _near_ct_expanded, c_w, cyclic_interval,
     rhs_bg_alternating, rhs_bg_general, rhs_kadell, rhs_kadell_t, rhs_lxz,
-    rhs_sills, rhs_strict, w_sigma,
+    rhs_sills, rhs_strict,
 )
 from dysonct.interp import (
     _survivor_term, closed_eval, dyson_coeff_interpolated, dyson_grid,
@@ -33,6 +33,7 @@ from dysonct.qpoly import (
 from dysonct.symfun import hook_content
 from reference import (
     one_minus_q, q_power_diff, qbinom, qpoch, sampled_dyson_grid, t_monomial,
+    w_sigma,
 )
 
 

@@ -18,14 +18,14 @@ from dysonct.identities import (
     verify_poincare_equal, verify_prop_kappa, verify_prop_vnu,
     verify_prop_zero, verify_q_dyson, verify_scalar_kkhat,
     verify_schur_monomial, verify_sills, verify_strict, verify_tournament,
-    verify_usum, verify_usum_k, verify_wtd, w_sigma,
+    verify_usum, verify_usum_k, verify_wtd,
 )
 from dysonct.mpoly import MPoly, bg_kernel, table_kernel, table_u, tkernel
 from dysonct.qpoly import Cyclo, IntPoly
 from reference import (
     all_tournaments, contributing_perms, lemma_sym_check, longest,
     natural_tournament, product, qbinom, reduction_check, subst_t_qpowers,
-    subst_t_zero, t_monomial,
+    subst_t_zero, t_monomial, w_sigma,
 )
 
 
@@ -497,6 +497,27 @@ class TestUSum:
             rest = [_u_binomial(table, s) for s in subsets if s != full]
             assert rhs == (upper * _u_binomial(table, {k})
                            * product(rest, table)), k
+
+    def test_binomials_fold_by_the_two_term_step(self, monkeypatch):
+        # every (1 - u_A) goes through MPoly.times_binomials: MPoly.__mul__
+        # only multiplies by a monomial, and no binomial is built by "-"
+        mul, sub = MPoly.__mul__, MPoly.__sub__
+        operands, subs = [], []
+
+        def counting_mul(self, other):
+            operands.append((len(self), len(other)))
+            return mul(self, other)
+
+        monkeypatch.setattr(MPoly, "__mul__", counting_mul)
+        monkeypatch.setattr(MPoly, "__rmul__", counting_mul)
+        monkeypatch.setattr(MPoly, "__sub__",
+                            lambda self, other: subs.append(1) or sub(self, other))
+        sides = [usum_cleared_sides(4)] + [usum_k_cleared_sides(4, k)
+                                           for k in range(1, 5)]
+        assert all(lhs == rhs for lhs, rhs in sides)
+        assert operands
+        assert all(1 in pair for pair in operands), operands
+        assert not subs
 
     @pytest.mark.parametrize("n", [0, -2])
     def test_n_below_one_rejected(self, n):

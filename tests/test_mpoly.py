@@ -3,10 +3,11 @@ import random
 
 import pytest
 
+import dysonct.mpoly as mpoly
 from dysonct.mpoly import (
     MPoly, VarTable, bg_alternating_kernel, bg_kernel, dyson_kernel,
-    mul_coeff_x, table_kernel, table_tau, table_x, tau_kernel, tkernel,
-    tournament_kernel, tzero_kernel,
+    mul_coeff_x, table_kernel, table_tau, table_u, table_x, tau_kernel,
+    tkernel, tournament_kernel, tzero_kernel,
 )
 from dysonct.qpoly import IntPoly
 from reference import (
@@ -110,6 +111,62 @@ class TestArith:
         t = table_x(1)
         c = IntPoly({0: 1, 1: 2})
         assert x(t, 1) * c == MPoly(t, [((0, 1), 1), ((1, 1), 2)])
+
+
+def _times_binomials_reference(p, monomials):
+    """p times the product of the MPoly factors 1 - m, multiplied in turn."""
+    table = p.table
+    return p * product([MPoly.one(table) - MPoly.monomial(table, m)
+                        for m in monomials], table)
+
+
+class TestTimesBinomials:
+    TABLES = [table_kernel(3), table_tau(2, 1), table_u(4)]
+    IDS = ["kernel3", "tau2-1", "u4"]
+
+    @pytest.mark.parametrize("table", TABLES, ids=IDS)
+    def test_matches_the_product_of_factors(self, table):
+        # random monomials over every variable of the table (q, x, t or u),
+        # with negative exponents; index 0 is q
+        rng = random.Random(repr(table))
+        for _ in range(40):
+            p = rand_poly(table, rng)
+            monomials = [
+                {k: rng.randrange(-3, 4)
+                 for k in rng.sample(range(table.nvars),
+                                     rng.randrange(1, table.nvars + 1))}
+                for _ in range(rng.randrange(0, 5))]
+            assert (p.times_binomials(monomials)
+                    == _times_binomials_reference(p, monomials)), monomials
+
+    @pytest.mark.parametrize("table", TABLES, ids=IDS)
+    def test_edge_lists(self, table):
+        p = rand_poly(table, random.Random(7))
+        last = table.nvars - 1  # an x, t or u variable
+        m = {0: 2, last: -1}
+        assert p.times_binomials([]) == p
+        binomial = MPoly.one(table) - MPoly.monomial(table, m)
+        assert p.times_binomials([m, m]) == p * binomial * binomial
+        for unit in ({}, {0: 0}, {last: 0}):
+            assert p.times_binomials([m, unit]).is_zero
+        assert p == rand_poly(table, random.Random(7))  # p is left as it is
+
+    def test_exponent_outside_the_packed_range_raises(self):
+        p = MPoly.one(table_u(2))
+        for e in (1 << 31, -(1 << 31) - 1):
+            with pytest.raises(ValueError, match="packed range"):
+                p.times_binomials([{1: 1}, {2: e}])
+
+    def test_runs_the_kernel_fold(self, monkeypatch):
+        # one two-term loop: the kernels and times_binomials both run _fold
+        calls = []
+        fold = mpoly._fold
+        monkeypatch.setattr(mpoly, "_fold",
+                            lambda *args: calls.append(1) or fold(*args))
+        MPoly.one(table_u(2)).times_binomials([{1: 1}, {2: 1}])
+        assert len(calls) == 1
+        dyson_kernel((1, 1))
+        assert len(calls) == 3
 
 
 class TestExtraction:
