@@ -214,7 +214,8 @@ def D_vlambda(v, lam, a, family: str) -> MPoly:
     if family not in ("dyson", "t"):
         raise ValueError(f"D_vlambda reads the dyson or t kernel, not {family!r}")
     table = (table_x if family == "dyson" else table_kernel)(n)
-    # the Schur factor is one more factor, so the full kernel is never built
+    # the Schur factor, last in the list, starts the second half, which then
+    # folds its binomials onto it; the full product is never built
     return Kernel(kernel_factors(family, a)
                   + [schur_principal(lam, a, table)], table).coeff_x(v)
 
@@ -561,7 +562,9 @@ def verify_poincare_equal(n: int, k: int):
     scale = Cyclo()
     for i in range(1, n):
         scale = scale * Cyclo.qbinom((i + 1) * k - 1, k - 1)
-    return _render(lhs, poincare_W(n) * scale.expand())
+    s = scale.expand()
+    rhs = _poincare_sum(table_kernel(n), Permutation.all_perms(n), lambda w: s)
+    return _render(lhs, rhs)
 
 
 def verify_wtd(n: int):

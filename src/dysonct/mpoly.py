@@ -28,8 +28,9 @@ which fold each coefficient polynomial in q into one integer (a Kronecker
 substitution, as in ``qpoly.Cyclo.expand``), so that their loops run over
 the monomials in x and the auxiliary variables only.  The section on
 q-packed polynomials below defines the format.  A kernel's binomials are
-plain (u, v, k) and (i, j) entries (``kernel_factors``), never MPolys.
-One two-term step multiplies by every binomial 1 - m: ``Kernel`` runs it on
+plain (u, v, k) and (i, j) entries (``kernel_factors``), never MPolys,
+and its MPoly factors multiply into the start of their half.  One
+two-term step multiplies by every binomial 1 - m: ``Kernel`` runs it on
 q-packed terms and ``MPoly.times_binomials`` (the u-sum's) on plain ones.
 """
 
@@ -366,11 +367,10 @@ class MPoly:
 
     def times_binomials(self, monomials) -> "MPoly":
         """This polynomial times prod (1 - m) over ``monomials``, each m a
-        {variable index: exponent}: ``_fold``'s two-term step with k = 0."""
+        {variable index: exponent}: ``_fold`` with steps (offset of m, 0)."""
         shift = self.table.shift
-        acc, _ = _fold([(shift(m.items()), 0) for m in monomials], 0,
-                       self._terms)
-        return MPoly._make(self.table, acc)
+        return MPoly._make(self.table, _fold(
+            [(shift(m.items()), 0) for m in monomials], 0, self._terms))
 
     # -- extraction -----------------------------------------------------------
 
@@ -528,47 +528,36 @@ def mul_coeff_x(p1: MPoly, p2: MPoly, v) -> MPoly:
 # that bound, so ``qpoly.balanced_digits`` reads every coefficient back.
 
 
-def _fold(steps, b: int, acc: dict) -> tuple:
+def _fold(steps, b: int, acc: dict) -> dict:
     """``acc`` times ``steps`` in list order, into one accumulator (``acc``
     is left as it is).  A step (d, k) is the binomial 1 - q^k m, d the packed
     offset of m: the two-term step copies the accumulator and adds it back
-    shifted by d, times -2^(bk).  An MPoly step multiplies in term by term."""
-    low = 0
-    for f in steps:
-        if type(f) is tuple:
-            d, k = f
-            k *= b
-            out = acc.copy()
-            get = out.get
-            for k1, c1 in acc.items():
-                key = k1 + d
-                s = get(key, 0) - (c1 << k)
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-            acc = out
-            continue
-        terms = f._terms
-        if not terms:
-            return {}, 0
-        off, lo = f.table.off, min([k & _FIELD for k in terms]) - _B
-        low += lo
-        out = {}
+    shifted by d, times -2^(bk)."""
+    for d, k in steps:
+        k *= b
+        out = acc.copy()
         get = out.get
-        for k2, c2 in terms.items():
-            e = (k2 & _FIELD) - _B
-            d = k2 - e - off
-            c2 <<= b * (e - lo)
-            for k1, c1 in acc.items():
-                k = k1 + d
-                s = get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+        for k1, c1 in acc.items():
+            key = k1 + d
+            s = get(key, 0) - (c1 << k)
+            if s:
+                out[key] = s
+            else:
+                del out[key]
         acc = out
-    return acc, low
+    return acc
+
+
+def _pack(p: MPoly, b: int) -> tuple:
+    """The q-packed form (terms, low) of ``p``: the inverse of ``_unpack``.
+    Every coefficient lies below 2^(b-1), so no packed value cancels."""
+    terms = p._terms
+    low = min([k & _FIELD for k in terms], default=_B) - _B
+    out: dict[int, int] = {}
+    for k, c in terms.items():
+        e = (k & _FIELD) - _B
+        out[k - e] = out.get(k - e, 0) + (c << (b * (e - low)))
+    return out, low
 
 
 def _unpack(terms: dict, low: int, b: int, table: VarTable) -> MPoly:
@@ -678,9 +667,10 @@ class Kernel:
     """A product of factors, held as two q-packed halves.
 
     A factor is a plain binomial of ``kernel_factors`` or an MPoly on the
-    kernel's table.  Each half folds its part of the list (the first half
-    and the rest) into one accumulator in list order, a binomial 1 - m by
-    the two-term step with the offset of m that the table packs once per
+    kernel's table.  Each half takes its part of the list (the first half
+    and the rest): it starts from the packed product of its MPoly factors,
+    or from 1, and folds its binomials in list order, each 1 - m by the
+    two-term step with the offset of m that the table packs once per
     (u, v).  A pair's binomials come together and share one x-key, so its
     Pochhammer symbols collapse onto a_i + a_j + 1 keys before the next
     pair multiplies in.  ``coeff_x`` joins the halves with one dict lookup
@@ -691,14 +681,15 @@ class Kernel:
     __slots__ = ("table", "_b", "_small", "_large", "_index")
 
     def __init__(self, factors, table: VarTable):
-        steps, bound = [], 1
-        for f in factors:
+        half = len(factors) // 2
+        steps, polys, bound = ([], []), ([], []), 1  # (first half, rest)
+        for i, f in enumerate(factors):
             if isinstance(f, MPoly):
                 if f.table is not table and f.table != table:
                     raise ValueError("variable tables differ")
                 # a zero factor empties its half; each half must still decode
                 bound *= sum(map(abs, f._terms.values())) or 1
-                steps.append(f)
+                polys[i >= half].append(f)
                 continue
             bound <<= 1
             pair = len(f) == 2
@@ -707,11 +698,13 @@ class Kernel:
             if d is None or len(f) > 3 or not 0 <= k < _B:
                 raise ValueError(f"binomial {f}: needs u != v in 1..{table.nx}"
                                  f", t[u,v] in the table, k in [0, 2^{_W - 1})")
-            steps.append((d, k))
+            steps[i >= half].append((d, k))
         b = self._b = bound.bit_length() + 1
-        half = len(steps) // 2
-        halves = (_fold(steps[:half], b, {table.off: 1}),
-                  _fold(steps[half:], b, {table.off: 1}))
+        halves = []
+        for part, start in zip(steps, polys):
+            acc, low = (_pack(functools.reduce(MPoly.__mul__, start), b)
+                        if start else ({table.off: 1}, 0))
+            halves.append((_fold(part, b, acc), low))
         self.table = table
         self._small, self._large = sorted(halves, key=lambda h: len(h[0]))
         self._index = _x_index(self._large, table)

@@ -13,14 +13,17 @@ import random
 
 import pytest
 
-from dysonct.combi import all_zero_one_matrices
-from dysonct.identities import tau_kappa_coeff
+from dysonct.combi import all_zero_one_matrices, partitions_upto
+from dysonct import mpoly
+from dysonct.identities import D_vlambda, tau_kappa_coeff
 from dysonct.mpoly import (
     KERNEL_FAMILIES, Kernel, MPoly, VarTable, bg_alternating_kernel,
     dyson_kernel, kernel_factors, mul_coeff_x, table_kernel, table_tau,
     table_x, tau_kernel, tkernel, tzero_kernel,
 )
-from dysonct.symfun import schur_principal
+from dysonct.symfun import (
+    key_poly, keyhat_poly, scalar_product, schur_principal,
+)
 from reference import (
     all_tournaments, binomial_poly, mpoly_kernel_factors, product,
 )
@@ -169,9 +172,32 @@ def test_named_builders_build_no_binomial_mpoly(monkeypatch):
             build(a)
             assert built == [], (build.__name__, a)
     bg_alternating_kernel((1, 2, 1))
-    assert built.count("_make") == 3
+    # three x_j/x_i - x_i/x_j factors, plus the product of the two that
+    # start the first half of the five-factor list
+    assert built.count("_make") == 4
     MPoly(table_x(1), [((0, 1), 1)])
     assert built[-1] == "__init__"
+
+
+def test_fold_receives_only_two_term_steps(monkeypatch):
+    # MPoly factors multiply into a half's start, never inside _fold: every
+    # step it runs is a binomial (packed offset, q-power)
+    steps = []
+    fold = mpoly._fold
+    monkeypatch.setattr(mpoly, "_fold", lambda part, b, acc: (
+        steps.extend(part), fold(part, b, acc))[1])
+    for family in ("dyson", "t"):
+        D_vlambda((2, 0, 1), (2, 1), (1, 2, 1), family)
+    scalar_product(key_poly((1, 0, 2)), keyhat_poly((2, 1, 0)))
+    bg_alternating_kernel((1, 2, 1))
+    rng = random.Random(5)
+    table = table_kernel(2)
+    p1, p2, p3 = (laurent_poly(table, rng) for _ in range(3))
+    mul_coeff_x(p1, p2, (1, -1))
+    Kernel([p1, p2, p3], table).ct_x()
+    assert steps
+    assert all(type(s) is tuple and len(s) == 2
+               and all(type(e) is int for e in s) for s in steps), steps
 
 
 @pytest.mark.parametrize("entry, table, why", [
@@ -218,21 +244,31 @@ def test_repeated_extraction_in_shuffled_order():
 
 @pytest.mark.parametrize("family", ["dyson", "t", "tzero"])
 def test_schur_augmented_lists(family):
-    # the factor lists of D_vlambda: kernel factors plus s_lambda(x^(a))
+    # the factor lists of D_vlambda: kernel factors plus s_lambda(x^(a)),
+    # for every lambda with 1 <= |lambda| <= 6 and at most n parts and every
+    # v >= 0 with |v| <= |lambda| (only |v| = |lambda| can be nonzero).  A
+    # zero part of a with lambda longer than the nonzero parts makes the
+    # Schur factor's lowest q power positive
+    reads = raised = 0
     for n in (2, 3):
         table = kernel_table(family, n)
         low = 0 if family == "dyson" else 1
+        lams = sorted({tuple(p for p in lam if p)
+                       for lam in partitions_upto(6, n) if 1 <= sum(lam) <= 6})
         for a in itertools.product(range(low, 3), repeat=n):
-            for lam in ((1,), (2,), (1, 1), (2, 1)):
+            for lam in lams:
                 schur = schur_principal(lam, a, table)
-                factors = kernel_factors(family, a) + [schur]
-                reference = mpoly_kernel_factors(family, a, table) + [schur]
-                for m in range(sum(lam) + 1):
-                    for v in itertools.product(range(m + 1), repeat=n):
-                        if sum(v) != m:
-                            continue
-                        assert (kernel_coeff(factors, table, v)
-                                == reference_coeff(reference, table, v)), (a, lam, v)
+                raised += min([vec[0] for vec, _ in schur.terms()],
+                              default=0) > 0
+                kernel = Kernel(kernel_factors(family, a) + [schur], table)
+                full = product(mpoly_kernel_factors(family, a, table)
+                               + [schur], table)
+                m = sum(lam)
+                for v in itertools.product(range(m + 1), repeat=n):
+                    if sum(v) <= m:
+                        assert kernel.coeff_x(v) == full.coeff_x(v), (a, lam, v)
+                        reads += 1
+    assert reads and (raised or family != "dyson")
 
 
 @pytest.mark.parametrize("last", [-2, 2])
